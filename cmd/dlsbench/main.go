@@ -46,7 +46,6 @@ import (
 
 	"dlsmech/internal/agent"
 	"dlsmech/internal/cli"
-	"dlsmech/internal/compute"
 	"dlsmech/internal/core"
 	"dlsmech/internal/des"
 	"dlsmech/internal/device"
@@ -118,10 +117,6 @@ type benchReport struct {
 	Micro     []microResult      `json:"micro"`
 	RunAll    *runAllResult      `json:"run_all,omitempty"`
 	Server    *serverBenchResult `json:"server,omitempty"`
-	// ServerCoalesced is the same loopback workload with the daemon's shared
-	// compute plane enabled (verify coalescing + plan cache) — dlsd's
-	// default production configuration.
-	ServerCoalesced *serverBenchResult `json:"server_coalesced,omitempty"`
 }
 
 // measure runs fn in a timed loop for roughly benchtime after one warmup
@@ -365,32 +360,6 @@ func microBenchmarks(seed uint64, benchtime time.Duration, hooks obs.Hooks, proc
 			runtime.GOMAXPROCS(prev)
 			addP("verify_batch_cold", m, pr, ns, b, allocs, 0)
 		}
-	}
-
-	// Content-addressed plan cache: a repeated-configuration workload's
-	// steady state is Solve answering from the cache — key hash, one map
-	// probe, a digest re-check and the copy-out — priced against running
-	// Algorithm 1 fresh (the pairing). The acceptance floor for this PR is
-	// 5× on hits; at large m the hit path is memory-bandwidth-bound
-	// (copy + digest) while the solve is arithmetic-bound, so the ratio
-	// grows with m.
-	for _, m := range []int{64, 512, 4096} {
-		n := chain(seed, m)
-		cache := compute.NewPlanCache(compute.PlanCacheConfig{})
-		if _, hit, err := cache.Solve(n); err != nil || hit {
-			fatal(fmt.Errorf("plan cache warm solve: hit=%v err=%v", hit, err))
-		}
-		ns, b, allocs := measure(benchtime, func() {
-			if _, hit, err := cache.Solve(n); err != nil || !hit {
-				fatal(fmt.Errorf("plan cache: expected a hit (hit=%v err=%v)", hit, err))
-			}
-		})
-		solveNs, _, _ := measure(benchtime, func() {
-			if _, err := dlt.SolveBoundary(n); err != nil {
-				fatal(err)
-			}
-		})
-		add("plan_cache_hit", m, ns, b, allocs, solveNs/ns)
 	}
 
 	for _, r := range pipelineBenchmarks(seed, benchtime, hooks) {
@@ -1052,7 +1021,7 @@ func main() {
 		// of the server run; collect it so the loopback numbers measure the
 		// daemon, not the micro pass's garbage.
 		runtime.GC()
-		sb, err := serverBenchmark(*seed, *serverConns, *serverM, *serverWindow, compute.Config{})
+		sb, err := serverBenchmark(*seed, *serverConns, *serverM, *serverWindow)
 		if err != nil {
 			fatal(err)
 		}
@@ -1066,28 +1035,6 @@ func main() {
 		fmt.Fprintf(os.Stderr,
 			"server_round_loopback: %d conns × m=%d: %.1f rounds/sec  p50 %.2fms  p99 %.2fms\n",
 			sb.Conns, sb.M, sb.RoundsPerSec, sb.P50Ms, sb.P99Ms)
-
-		// The same workload with the shared compute plane on — dlsd's
-		// default production shape: verification coalesced across sessions,
-		// plans answered from the content-addressed cache (the bench's fixed
-		// network repeats every round, so steady state is all hits).
-		sc, err := serverBenchmark(*seed, *serverConns, *serverM, *serverWindow,
-			compute.Config{EnableVerify: true, EnablePlans: true})
-		if err != nil {
-			fatal(err)
-		}
-		report.ServerCoalesced = sc
-		report.Micro = append(report.Micro, microResult{
-			Op: "server_round_coalesced", M: sc.M,
-			NsPerOp: sc.Seconds * 1e9 / float64(sc.Rounds),
-		})
-		fmt.Fprintf(os.Stderr,
-			"server_round_coalesced: %d conns × m=%d: %.1f rounds/sec  p50 %.2fms  p99 %.2fms\n",
-			sc.Conns, sc.M, sc.RoundsPerSec, sc.P50Ms, sc.P99Ms)
-		fmt.Fprintf(os.Stderr,
-			"  verify plane: %d sigs in %d batches (%.1f sigs/batch; %d size / %d deadline flushes)  plan cache: %.1f%% hit\n",
-			sc.VerifySigs, sc.VerifyBatches, sc.BatchOccupancyMean,
-			sc.FlushSize, sc.FlushDeadline, 100*sc.PlanCacheHitRate)
 	}
 	if *runall {
 		ra, err := runAllComparison(*seed, w)

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dlsmech/internal/compute"
 	"dlsmech/internal/obs"
 	"dlsmech/internal/server"
 	"dlsmech/internal/wire"
@@ -14,9 +13,7 @@ import (
 
 // serverBenchResult is the loopback daemon benchmark: many concurrent
 // closed-loop sessions drive truthful rounds through a real dlsd instance
-// over TCP, and the latency distribution comes from an obs histogram. The
-// compute-plane figures are populated when the benchmarked daemon ran with
-// the shared plane enabled.
+// over TCP, and the latency distribution comes from an obs histogram.
 type serverBenchResult struct {
 	Conns        int     `json:"conns"`
 	M            int     `json:"m"`
@@ -27,15 +24,6 @@ type serverBenchResult struct {
 	P90Ms        float64 `json:"p90_ms"`
 	P99Ms        float64 `json:"p99_ms"`
 	MeanMs       float64 `json:"mean_ms"`
-
-	VerifyBatches      int64   `json:"verify_batches,omitempty"`
-	VerifySigs         int64   `json:"verify_sigs_coalesced,omitempty"`
-	BatchOccupancyMean float64 `json:"verify_batch_occupancy_mean,omitempty"`
-	FlushSize          int64   `json:"verify_flush_size,omitempty"`
-	FlushDeadline      int64   `json:"verify_flush_deadline,omitempty"`
-	PlanCacheHits      int64   `json:"plan_cache_hits,omitempty"`
-	PlanCacheMisses    int64   `json:"plan_cache_misses,omitempty"`
-	PlanCacheHitRate   float64 `json:"plan_cache_hit_rate,omitempty"`
 }
 
 // benchRoundSlots caps concurrently executing rounds in the benchmark
@@ -57,8 +45,7 @@ var serverLatencyBuckets = []float64{
 // per session (provisioning and pool warmup stay out of the measurement),
 // then drives closed-loop rounds for the window and reports aggregate
 // throughput plus latency quantiles.
-func serverBenchmark(seed uint64, conns, m int, window time.Duration, plane compute.Config) (*serverBenchResult, error) {
-	srvReg := obs.NewRegistry()
+func serverBenchmark(seed uint64, conns, m int, window time.Duration) (*serverBenchResult, error) {
 	s, err := server.Listen(server.Config{
 		MaxConns:    conns + 16,
 		MaxSessions: conns + 16,
@@ -67,8 +54,6 @@ func serverBenchmark(seed uint64, conns, m int, window time.Duration, plane comp
 		// actually sit on these timers.
 		MaxDetectorWait:     10 * time.Minute,
 		MaxConcurrentRounds: benchRoundSlots,
-		Registry:            srvReg,
-		Compute:             plane,
 	})
 	if err != nil {
 		return nil, err
@@ -188,21 +173,6 @@ func serverBenchmark(seed uint64, conns, m int, window time.Duration, plane comp
 	}
 	if hs.Count > 0 {
 		res.MeanMs = hs.Sum / float64(hs.Count) * 1e3
-	}
-	if plane.EnableVerify || plane.EnablePlans {
-		snap := srvReg.Snapshot()
-		res.VerifyBatches = snap.Counters[compute.MetricVerifyBatches]
-		res.VerifySigs = snap.Counters[compute.MetricVerifySigsCoalesced]
-		if res.VerifyBatches > 0 {
-			res.BatchOccupancyMean = float64(res.VerifySigs) / float64(res.VerifyBatches)
-		}
-		res.FlushSize = snap.Counters[compute.MetricVerifyFlushSize]
-		res.FlushDeadline = snap.Counters[compute.MetricVerifyFlushDeadline]
-		res.PlanCacheHits = snap.Counters[compute.MetricPlanCacheHits]
-		res.PlanCacheMisses = snap.Counters[compute.MetricPlanCacheMisses]
-		if total := res.PlanCacheHits + res.PlanCacheMisses; total > 0 {
-			res.PlanCacheHitRate = float64(res.PlanCacheHits) / float64(total)
-		}
 	}
 	return res, nil
 }

@@ -26,7 +26,6 @@ import (
 	"syscall"
 	"time"
 
-	"dlsmech/internal/compute"
 	"dlsmech/internal/ledger"
 	"dlsmech/internal/obs"
 	"dlsmech/internal/server"
@@ -48,13 +47,6 @@ func main() {
 		maxStreamD  = flag.Int("max-stream-depth", 0, "max pipeline depth a stream may request (0 = default)")
 		drain       = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
 		ledgerDir   = flag.String("ledger-dir", "", "evidence ledger directory (empty disables durable evidence recording)")
-
-		coalesce     = flag.Bool("coalesce-verify", true, "batch signature verification across sessions on the shared compute plane")
-		coalesceMax  = flag.Int("coalesce-max-batch", 0, "flush a verify batch at this many signatures (0 = default 512)")
-		coalesceWin  = flag.Duration("coalesce-window", 0, "max age of a queued signature before its batch flushes (0 = default 200µs)")
-		planCache    = flag.Bool("plan-cache", true, "content-addressed cache of solved boundary plans")
-		planEntries  = flag.Int("plan-cache-entries", 0, "plan cache entry cap (0 = default 4096)")
-		planCacheMiB = flag.Int("plan-cache-mib", 0, "plan cache byte cap in MiB (0 = default 256)")
 	)
 	flag.Parse()
 
@@ -85,14 +77,6 @@ func main() {
 		Registry:            reg,
 		Ledger:              store,
 		Logf:                log.Printf,
-		Compute: compute.Config{
-			EnableVerify:   *coalesce,
-			EnablePlans:    *planCache,
-			VerifyMaxBatch: *coalesceMax,
-			VerifyWindow:   *coalesceWin,
-			PlanMaxEntries: *planEntries,
-			PlanMaxBytes:   int64(*planCacheMiB) << 20,
-		},
 	})
 	if err != nil {
 		log.Fatal(err)

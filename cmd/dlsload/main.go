@@ -22,20 +22,15 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"dlsmech/internal/compute"
 	"dlsmech/internal/core"
 	"dlsmech/internal/obs"
 	"dlsmech/internal/server"
@@ -67,87 +62,6 @@ type summary struct {
 	P90Ms      float64 `json:"p90_ms"`
 	P99Ms      float64 `json:"p99_ms"`
 	MeanMs     float64 `json:"mean_ms"`
-
-	Compute *planeStats `json:"compute,omitempty"`
-}
-
-// planeStats is the run's slice of the daemon's shared compute plane,
-// obtained by diffing two scrapes of the dlsd metrics endpoint around the
-// run. With other tenants active the figures cover the whole daemon during
-// the window, not just this generator's sessions — the plane batches across
-// tenants by design.
-type planeStats struct {
-	VerifySigs         int64   `json:"verify_sigs_coalesced"`
-	VerifyBatches      int64   `json:"verify_batches"`
-	BatchOccupancyMean float64 `json:"verify_batch_occupancy_mean"`
-	FlushSize          int64   `json:"verify_flush_size"`
-	FlushDeadline      int64   `json:"verify_flush_deadline"`
-	PlanCacheHits      int64   `json:"plan_cache_hits"`
-	PlanCacheMisses    int64   `json:"plan_cache_misses"`
-	PlanCacheHitRate   float64 `json:"plan_cache_hit_rate"`
-}
-
-// scrapeCounters fetches a Prometheus text endpoint and returns the
-// dlsd_compute_* counter samples. The obs exposition format is one
-// `name value` pair per sample line; comment lines start with '#'.
-func scrapeCounters(url string) (map[string]int64, error) {
-	c := &http.Client{Timeout: 5 * time.Second}
-	resp, err := c.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: %s", url, resp.Status)
-	}
-	out := make(map[string]int64)
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, val, ok := strings.Cut(line, " ")
-		if !ok || !strings.HasPrefix(name, "dlsd_compute_") {
-			continue
-		}
-		// Counters are integral, but parse as float so a future exposition
-		// tweak (e.g. 1e+06 rendering) doesn't silently drop samples.
-		f, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil {
-			continue
-		}
-		out[name] = int64(f)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// planeDiff turns before/after scrapes into the run's compute-plane report.
-// Returns nil when the window saw no plane activity at all (plane disabled,
-// or the daemon predates it).
-func planeDiff(before, after map[string]int64) *planeStats {
-	d := func(name string) int64 { return after[name] - before[name] }
-	ps := &planeStats{
-		VerifySigs:      d(compute.MetricVerifySigsCoalesced),
-		VerifyBatches:   d(compute.MetricVerifyBatches),
-		FlushSize:       d(compute.MetricVerifyFlushSize),
-		FlushDeadline:   d(compute.MetricVerifyFlushDeadline),
-		PlanCacheHits:   d(compute.MetricPlanCacheHits),
-		PlanCacheMisses: d(compute.MetricPlanCacheMisses),
-	}
-	if ps.VerifyBatches > 0 {
-		ps.BatchOccupancyMean = float64(ps.VerifySigs) / float64(ps.VerifyBatches)
-	}
-	if total := ps.PlanCacheHits + ps.PlanCacheMisses; total > 0 {
-		ps.PlanCacheHitRate = float64(ps.PlanCacheHits) / float64(total)
-	}
-	if ps.VerifyBatches == 0 && ps.PlanCacheHits == 0 && ps.PlanCacheMisses == 0 {
-		return nil
-	}
-	return ps
 }
 
 func main() {
@@ -174,36 +88,10 @@ func main() {
 		rTimeout = flag.Duration("round-timeout", 25*time.Millisecond, "detector base timeout shipped with each round")
 		rRetries = flag.Int("round-retries", 1, "detector retransmissions shipped with each round")
 		rBackoff = flag.Float64("round-backoff", 1.5, "detector backoff shipped with each round")
-
-		metricsURL = flag.String("metrics-url", "http://127.0.0.1:9774/metrics",
-			"dlsd metrics endpoint scraped before and after the run for the compute-plane report (empty disables)")
 	)
 	flag.Parse()
 	if *rounds == 0 && *duration <= 0 {
 		log.Fatal("need -rounds or a positive -duration")
-	}
-	metricsURLSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "metrics-url" {
-			metricsURLSet = true
-		}
-	})
-
-	// Snapshot the daemon's compute-plane counters before the run; the
-	// post-run diff yields this window's batching and cache figures. The
-	// default endpoint is best-effort — a daemon without metrics (or an
-	// older one) just skips the report — but an explicitly set URL that
-	// fails to scrape is worth a warning.
-	var preScrape map[string]int64
-	if *metricsURL != "" {
-		var err error
-		preScrape, err = scrapeCounters(*metricsURL)
-		if err != nil {
-			if metricsURLSet {
-				log.Printf("metrics scrape %s: %v (compute-plane report disabled)", *metricsURL, err)
-			}
-			preScrape = nil
-		}
 	}
 
 	netw := workload.Chain(xrand.New(*seed), workload.DefaultChainSpec(*m))
@@ -352,13 +240,6 @@ func main() {
 	if hs.Count > 0 {
 		sum.MeanMs = hs.Sum / float64(hs.Count) * 1e3
 	}
-	if preScrape != nil {
-		if post, err := scrapeCounters(*metricsURL); err != nil {
-			log.Printf("metrics scrape %s: %v (compute-plane report disabled)", *metricsURL, err)
-		} else {
-			sum.Compute = planeDiff(preScrape, post)
-		}
-	}
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -376,12 +257,6 @@ func main() {
 			sum.Conns, sum.M, sum.Rounds, sum.Seconds, sum.RoundsSec, sum.Errors, sum.Incomplete, sum.PooledAcks)
 		fmt.Printf("latency: p50 %.2fms  p90 %.2fms  p99 %.2fms  mean %.2fms\n",
 			sum.P50Ms, sum.P90Ms, sum.P99Ms, sum.MeanMs)
-	}
-	if ps := sum.Compute; ps != nil && !*jsonOut {
-		fmt.Printf("compute plane: %d sigs coalesced into %d batches (occupancy %.1f; flush %d size / %d deadline)\n",
-			ps.VerifySigs, ps.VerifyBatches, ps.BatchOccupancyMean, ps.FlushSize, ps.FlushDeadline)
-		fmt.Printf("plan cache: %d hits, %d misses (%.1f%% hit rate)\n",
-			ps.PlanCacheHits, ps.PlanCacheMisses, ps.PlanCacheHitRate*100)
 	}
 	if sum.Errors > 0 || sum.Incomplete > 0 {
 		os.Exit(1)

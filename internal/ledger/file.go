@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -24,9 +25,10 @@ import (
 //
 // Crash tolerance at open: a torn record at the tail of the LAST segment —
 // the footprint of a crash mid-append — is truncated away and appending
-// resumes at the cut. A short or corrupt record anywhere else cannot be a
-// crash artifact of an append-only writer and fails the open with
-// ErrCorrupt.
+// resumes at the cut. So is a last segment shorter than its magic whose
+// bytes are a prefix of it, the footprint of a crash mid-roll: the magic is
+// rewritten. A short or corrupt record anywhere else cannot be a crash
+// artifact of an append-only writer and fails the open with ErrCorrupt.
 type FileBackend struct {
 	mu         sync.Mutex
 	dir        string
@@ -107,7 +109,17 @@ func (b *FileBackend) loadSegment(seg int, f *os.File, last bool) (int64, error)
 	}
 	size := info.Size()
 	hdr := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(f, hdr); err != nil || string(hdr) != string(segMagic) {
+	n, err := io.ReadFull(f, hdr)
+	if last && (err == io.EOF || err == io.ErrUnexpectedEOF) && bytes.Equal(hdr[:n], segMagic[:n]) {
+		// A roll interrupted between creating the file and writing (or
+		// fsyncing) its magic: a torn tail holding no records. Finish the
+		// roll the crash cut short.
+		if err := writeSegmentHeader(f, b.dir); err != nil {
+			return 0, err
+		}
+		return int64(len(segMagic)), nil
+	}
+	if err != nil || !bytes.Equal(hdr, segMagic) {
 		return 0, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
 	}
 	off := int64(len(segMagic))
@@ -168,28 +180,41 @@ func (b *FileBackend) segName(i int) string {
 }
 
 // rollLocked fsyncs and retires the active segment and starts the next one.
+// A failed roll removes the file it created, so a retried roll can create
+// the same name again.
 func (b *FileBackend) rollLocked() error {
 	if n := len(b.segs); n > 0 {
 		if err := b.segs[n-1].Sync(); err != nil {
 			return err
 		}
 	}
-	f, err := os.OpenFile(b.segName(len(b.segs)), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	name := b.segName(len(b.segs))
+	f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(segMagic); err != nil {
-		f.Close()
-		return err
-	}
-	// Make the new file name itself durable.
-	if d, err := os.Open(b.dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
+	if err := writeSegmentHeader(f, b.dir); err != nil {
+		return errors.Join(err, f.Close(), os.Remove(name))
 	}
 	b.segs = append(b.segs, f)
 	b.activeSize = int64(len(segMagic))
 	return nil
+}
+
+// writeSegmentHeader writes the magic at the head of a segment and fsyncs
+// dir, which makes the segment's file name itself durable.
+func writeSegmentHeader(f *os.File, dir string) error {
+	if _, err := f.WriteAt(segMagic, 0); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		return errors.Join(err, d.Close())
+	}
+	return d.Close()
 }
 
 // Put appends one record to the active segment.

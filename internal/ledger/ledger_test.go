@@ -3,6 +3,7 @@ package ledger
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -326,6 +327,122 @@ func TestTornTailTruncatedOnReopen(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestShortFinalSegmentIsTornRoll: a crash between a roll's file create and
+// its magic write leaves a final segment of 0..7 bytes, a prefix of the
+// magic. The open must finish the roll and keep every earlier record; a
+// short segment that is not a prefix of the magic, or not the last one,
+// is damage.
+func TestShortFinalSegmentIsTornRoll(t *testing.T) {
+	// writeLog settles two rounds into segment 0 and returns its record count.
+	writeLog := func(t *testing.T, dir string) int {
+		t.Helper()
+		be, err := OpenFile(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(be, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sl, err := st.OpenSession(wire.Hello{Tenant: "t", Size: 4, Seed: testSeed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seq := uint64(1); seq <= 2; seq++ {
+			settleRound(t, recordRound(t, sl, seq, 4), seq)
+		}
+		n := be.Len()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	seg0 := func(dir string) string { return filepath.Join(dir, "00000000.seg") }
+	seg1 := func(dir string) string { return filepath.Join(dir, "00000001.seg") }
+
+	for name, litter := range map[string][]byte{"empty": nil, "partial-magic": segMagic[:3]} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			nRecords := writeLog(t, dir)
+			if err := os.WriteFile(seg1(dir), litter, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			be, err := OpenFile(dir, 0)
+			if err != nil {
+				t.Fatalf("reopen after torn roll: %v", err)
+			}
+			if be.Len() != nRecords {
+				t.Fatalf("want %d records, got %d", nRecords, be.Len())
+			}
+			st, err := Open(be, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := st.VerifySession(1); len(got) != 0 {
+				t.Fatalf("VerifySession: %v", got)
+			}
+			sl, err := st.ResumeSession(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			settleRound(t, recordRound(t, sl, 3, 4), 3)
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(seg1(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(data) <= len(segMagic) || string(data[:len(segMagic)]) != string(segMagic) {
+				t.Fatalf("appends did not land behind a rewritten magic: %d bytes %q", len(data), data[:min(len(data), len(segMagic))])
+			}
+			be2, err := OpenFile(dir, 0)
+			if err != nil {
+				t.Fatalf("second reopen: %v", err)
+			}
+			defer be2.Close()
+			st2, err := Open(be2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sv := st2.Session(1); sv == nil || len(sv.Gens) != 3 {
+				t.Fatalf("want 3 generations after the append, got %+v", sv)
+			}
+			if got := st2.VerifySession(1); len(got) != 0 {
+				t.Fatalf("VerifySession after append: %v", got)
+			}
+		})
+	}
+
+	t.Run("not-a-magic-prefix", func(t *testing.T) {
+		dir := t.TempDir()
+		writeLog(t, dir)
+		if err := os.WriteFile(seg1(dir), []byte("XYZ"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenFile(dir, 0); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("want ErrCorrupt, got %v", err)
+		}
+	})
+	t.Run("short-interior-segment", func(t *testing.T) {
+		dir := t.TempDir()
+		writeLog(t, dir)
+		data, err := os.ReadFile(seg0(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(seg1(dir), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(seg0(dir), 3); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenFile(dir, 0); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("want ErrCorrupt, got %v", err)
+		}
+	})
 }
 
 func TestInteriorCorruptionIsHardError(t *testing.T) {

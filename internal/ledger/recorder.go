@@ -72,8 +72,8 @@ type RoundLog struct {
 func (sl *SessionLog) OpenRound(rq wire.Round) (*RoundLog, error) {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	sv := sl.st.Session(sl.id)
-	if sv == nil {
+	tip, ok := sl.st.sessionTip(sl.id)
+	if !ok {
 		return nil, fmt.Errorf("ledger: session %d not in the log", sl.id)
 	}
 	gen := sl.gen + 1
@@ -81,7 +81,7 @@ func (sl *SessionLog) OpenRound(rq wire.Round) (*RoundLog, error) {
 		Kind:    KindRound,
 		Session: sl.id,
 		Gen:     gen,
-		Parents: []Hash{sv.Tip},
+		Parents: []Hash{tip},
 		Payload: wire.AppendRound(nil, rq),
 	})
 	if err != nil {

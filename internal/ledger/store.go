@@ -208,6 +208,19 @@ func (s *Store) Session(id uint64) *SessionView {
 	return s.sessions[id]
 }
 
+// sessionTip returns the session's latest spine record. It reads under the
+// store lock: in a pipelined stream the previous load's settle moves the
+// tip while the next load opens.
+func (s *Store) sessionTip(id uint64) (Hash, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sv := s.sessions[id]
+	if sv == nil {
+		return Hash{}, false
+	}
+	return sv.Tip, true
+}
+
 // allocSession reserves the next session ID.
 func (s *Store) allocSession() uint64 {
 	s.mu.Lock()

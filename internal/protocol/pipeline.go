@@ -3,7 +3,6 @@ package protocol
 import (
 	"fmt"
 
-	"dlsmech/internal/compute"
 	"dlsmech/internal/core"
 	"dlsmech/internal/des"
 	"dlsmech/internal/dlt"
@@ -32,7 +31,6 @@ type billVerdict struct {
 type settleJob struct {
 	size                       int
 	cfg                        core.Config
-	compute                    compute.Handle
 	hooks                      obs.Hooks
 	ledger                     *payment.Ledger
 	memoC, memoE, memoB, memoS []string // session-lifetime, immutable
@@ -72,10 +70,7 @@ func (job *settleJob) settle() *Result {
 		res.Utilities[i] += job.ledger.Balance(i)
 	}
 	if res.Completed {
-		// The solve routes through the shared plan cache when one is
-		// attached; a hit is a bit-identical copy of Algorithm 1's output
-		// for these bids, so cached and uncached rounds settle identically.
-		if plan, err := job.compute.SolvePlan(&dlt.Network{W: res.Bids, Z: job.z}); err == nil {
+		if plan, err := dlt.SolveBoundary(&dlt.Network{W: res.Bids, Z: job.z}); err == nil {
 			res.Plan = plan
 		}
 	}

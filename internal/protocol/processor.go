@@ -237,14 +237,6 @@ func (r *runner) expectSlot(msg sign.Signed, wantSigner int, wantKind slotKind, 
 // where it ran (the A3 overhead table depends on that invariance).
 func (r *runner) verifyBidBatch(signed []sign.Signed, wantSigner, wantIndex int) error {
 	r.countVerifyN(int64(len(signed)))
-	if !r.seqVerify && r.compute.On() {
-		// Warm the memo through the daemon's coalescer: the signatures fold
-		// into a cross-session batch, and the per-slot loop below then runs
-		// on memo hits. The coalescer's verdict is deliberately ignored —
-		// pass or fail, the loop decides, so error reporting is identical
-		// to the local path.
-		_, _ = r.compute.VerifyBatchNamed(r.pki, signed)
-	}
 	if len(signed) == 1 {
 		// The honest case, out of the fan-out path: ForEach would run it
 		// inline anyway, but the closure (and its captures) are a heap
@@ -261,22 +253,7 @@ func (r *runner) verifyBidBatch(signed []sign.Signed, wantSigner, wantIndex int)
 // verifyG wraps messages.verifyG with the verification counter (5 checks).
 func (r *runner) verifyG(i int, g gMsg) (gValues, error) {
 	r.countVerifyN(5)
-	return verifyG(r.pki, i, g, r.warmG(g))
-}
-
-// warmG routes G's five signatures through the shared verify plane when one
-// is attached, so the per-slot loop inside verifyG runs on memo hits. It
-// reports the `sequential` argument verifyG should then use: true after a
-// plane pass (the local batch pre-pass would be redundant), r.seqVerify
-// otherwise. The plane's verdict is ignored for the same reason verifyG
-// ignores its local batch verdict — the per-slot checks decide.
-func (r *runner) warmG(g gMsg) bool {
-	if r.seqVerify || !r.compute.On() {
-		return r.seqVerify
-	}
-	batch := [5]sign.Signed{g.PrevLoad, g.Load, g.PrevEquiv, g.PrevBid, g.EchoEquiv}
-	_, _ = r.compute.VerifyBatchNamed(r.pki, batch[:])
-	return true
+	return verifyG(r.pki, i, g, r.seqVerify)
 }
 
 // meterRecord produces the root-signed meter reading for processor i via the

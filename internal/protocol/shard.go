@@ -346,11 +346,7 @@ func (ss *ShardedSession) rootIngest() {
 	}
 	ss.sigsTmp, ss.ownTmp = sigs, own
 	r.countVerifyN(int64(len(sigs)))
-	// Routed through the daemon's coalescer when attached: this is the
-	// largest single verification surface a session produces (every bid in
-	// the population at once), exactly what cross-session batching wants.
-	// The Handle's verdict contract matches VerifyBatchNamed's.
-	if at, err := r.compute.VerifyBatchNamed(r.pki, sigs); err != nil {
+	if at, err := r.pki.VerifyBatchNamed(sigs); err != nil {
 		off := 1
 		if at >= 0 {
 			off = int(own[at])

@@ -236,7 +236,6 @@ func (s *Server) serveRound(cs *connState, hello wire.Hello, ps *pooledSession, 
 		s.met.roundsRejected.Inc()
 		return cs.writeError(s, rq.Seq, CodeBadRound, err.Error())
 	}
-	params.Compute = s.computeHandle(hello.Tenant)
 	if budget := DetectorBudget(hello.Size, rq); budget > s.cfg.MaxDetectorWait {
 		s.met.roundsRejected.Inc()
 		return cs.writeError(s, rq.Seq, CodeBadRound,

@@ -42,7 +42,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dlsmech/internal/compute"
 	"dlsmech/internal/ledger"
 	"dlsmech/internal/obs"
 )
@@ -86,13 +85,6 @@ type Config struct {
 	// Registry receives the daemon's metrics. nil means a private registry
 	// (still scrapable via Server.Registry).
 	Registry *obs.Registry
-	// Compute configures the daemon's shared compute plane: cross-session
-	// continuous batching of signature verification and the
-	// content-addressed plan cache. The zero value disables both halves —
-	// every session then verifies and solves locally, exactly as before the
-	// plane existed. The plane's Registry field is overridden with the
-	// server's registry so its metrics land on the same scrape.
-	Compute compute.Config
 	// Ledger, when non-nil, is the durable evidence store every served
 	// round is recorded into: round-open before the run, artifacts during
 	// it, fines + settle — fsynced — strictly before the result frame is
@@ -147,7 +139,6 @@ type Server struct {
 	met     *metrics
 	pool    *sessionPool
 	tenants *tenantBook
-	plane   *compute.Plane // nil: compute plane disabled
 
 	roundSlots chan struct{} // round-concurrency semaphore
 
@@ -172,18 +163,7 @@ func New(cfg Config) *Server {
 	}
 	s.pool = newSessionPool(cfg.MaxSessions, s.met, cfg.Ledger)
 	s.tenants = newTenantBook(s.met)
-	planeCfg := cfg.Compute
-	planeCfg.Registry = s.cfg.Registry
-	s.plane = compute.New(planeCfg) // nil when both halves are disabled
 	return s
-}
-
-// computeHandle is the per-tenant view of the shared plane a served round
-// carries into protocol.Params. The tenant string keys the coalescer's
-// fairness queues: one chatty tenant's submissions round-robin against
-// everyone else's rather than monopolizing batches.
-func (s *Server) computeHandle(tenant string) compute.Handle {
-	return compute.Handle{Plane: s.plane, Tenant: tenant}
 }
 
 // Listen binds the configured address and starts the accept loop. With a
@@ -352,9 +332,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.met.sessionLeaks.Add(int64(n))
 		s.cfg.Logf("dlsd: %d sessions leaked at shutdown", n)
 	}
-	// Every round has finished, so no session can still be waiting on a
-	// coalesced verdict; drain the dispatcher.
-	s.plane.Close()
 	s.cfg.Logf("dlsd: drained")
 	return err
 }

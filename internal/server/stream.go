@@ -217,7 +217,6 @@ func (s *Server) serveStream(cs *connState, hello wire.Hello, ps *pooledSession,
 			endCode, endMsg, failSeq = StreamRunFailed, err.Error(), rq.Seq
 			break
 		}
-		params.Compute = s.computeHandle(hello.Tenant)
 		var rl *ledger.RoundLog
 		if ps.log != nil {
 			rl, err = ps.log.OpenRound(rq)

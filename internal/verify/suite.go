@@ -3,7 +3,6 @@ package verify
 import (
 	"fmt"
 
-	"dlsmech/internal/compute"
 	"dlsmech/internal/core"
 	"dlsmech/internal/obs"
 	"dlsmech/internal/protocol"
@@ -31,10 +30,6 @@ type Suite struct {
 	// tree-of-arbiters engine (see Scenario.Sharded) and adds the
 	// sharded-transport checker to the matrix. Nil keeps the chain engine.
 	Sharded *protocol.ShardConfig
-	// Compute forwards a shared compute-plane handle to every Scenario (see
-	// Scenario.Compute); the zero handle keeps all verification and plan
-	// solving local.
-	Compute compute.Handle
 }
 
 // cellSeed decorrelates the (seed, size) cells: the same base seed must not
@@ -89,7 +84,6 @@ func (s *Suite) Run() (*Report, error) {
 				Recovery:   s.Recovery,
 				Hooks:      s.Hooks,
 				Sharded:    s.Sharded,
-				Compute:    s.Compute,
 			}
 			run := func(name string, check func() []Verdict) {
 				hooks.OnPhaseStart(obs.Root, "verify:"+name)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"dlsmech/internal/agent"
-	"dlsmech/internal/compute"
 	"dlsmech/internal/core"
 	"dlsmech/internal/dlt"
 	"dlsmech/internal/obs"
@@ -41,21 +40,6 @@ type Scenario struct {
 	// back to the chain engine — the sharded engine's corruption model is
 	// ShardConfig.TamperFrame, exercised by CheckShardedTransport.
 	Sharded *protocol.ShardConfig
-	// Compute routes every protocol round and direct boundary solve the
-	// checkers perform through a shared compute plane (verify coalescing,
-	// plan cache). The theorems make no reference to where plans are solved
-	// or signatures verified, so the zero handle (all local) and a live
-	// plane must produce identical verdicts; running the suite with a warm
-	// plan cache is the conformance-level proof that cached plans are the
-	// plans the theorems hold for.
-	Compute compute.Handle
-}
-
-// solvePlan solves Algorithm 1 for net through the scenario's compute
-// handle: the shared plan cache when one is attached, dlt.SolveBoundary
-// otherwise. Bit-identical either way.
-func (sc *Scenario) solvePlan(net *dlt.Network) (*dlt.Allocation, error) {
-	return sc.Compute.SolvePlan(net)
 }
 
 func (sc *Scenario) recovery() protocol.RecoveryConfig {
@@ -148,7 +132,6 @@ func (sc *Scenario) runRound(profile agent.Profile, cfg core.Config, s *Strategy
 		LambdaUnit: sc.LambdaUnit,
 		Recovery:   rec,
 		Hooks:      sc.Hooks,
-		Compute:    sc.Compute,
 	}
 	if s != nil && s.Inject != nil {
 		p.Inject = s.Inject(sc.Seed, pos)
@@ -164,7 +147,7 @@ func (sc *Scenario) runRound(profile agent.Profile, cfg core.Config, s *Strategy
 // and all participants finish simultaneously.
 func CheckTheorem21(sc *Scenario) Verdict {
 	v := sc.verdict("theorem-2.1", "2.1")
-	plan, err := sc.solvePlan(sc.Net)
+	plan, err := dlt.SolveBoundary(sc.Net)
 	if err != nil {
 		return errVerdict(v, err)
 	}
@@ -254,7 +237,7 @@ func CheckTheorem51(sc *Scenario) []Verdict {
 		if s.Expect.SlackLimited {
 			// The Λ attestation slack bounds what an overload grievance can
 			// substantiate: skip sheds that fall inside (or near) it.
-			plan, err := sc.solvePlan(sc.Net)
+			plan, err := dlt.SolveBoundary(sc.Net)
 			if err != nil {
 				out = append(out, errVerdict(v, err))
 				continue
