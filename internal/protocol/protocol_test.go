@@ -7,6 +7,7 @@ import (
 	"dlsmech/internal/agent"
 	"dlsmech/internal/core"
 	"dlsmech/internal/dlt"
+	"dlsmech/internal/fault"
 	"dlsmech/internal/payment"
 	"dlsmech/internal/sign"
 	"dlsmech/internal/xrand"
@@ -154,6 +155,34 @@ func TestMiscomputerCaught(t *testing.T) {
 	}
 	if res.Utilities[1] >= 0 {
 		t.Fatalf("miscomputer utility %v, want negative", res.Utilities[1])
+	}
+}
+
+// TestPhaseTwoFailureDistributesNoLoad pins the outcome of a round that fails
+// in Phase II: P0 and P1 may already be working on Phase III when the abort
+// reaches them, but no load counts as distributed, so retained loads are
+// zero and every utility is exactly the processor's ledger balance,
+// however far the abort raced.
+func TestPhaseTwoFailureDistributesNoLoad(t *testing.T) {
+	t.Parallel()
+	n := testNet(t)
+	prof := agent.AllTruthful(4).WithDeviant(1, agent.Miscomputer())
+	for seed := uint64(1); seed <= 20; seed++ {
+		res := runWith(t, n, prof, core.DefaultConfig(), seed)
+		if res.Completed || res.Failure == nil || res.Failure.Phase != fault.PhaseAlloc {
+			t.Fatalf("seed %d: want a Phase II failure, got completed=%v failure=%v",
+				seed, res.Completed, res.Failure)
+		}
+		for i := range res.Retained {
+			if res.Retained[i] != 0 {
+				t.Fatalf("seed %d: P%d retained %v in a round that distributed no load",
+					seed, i, res.Retained[i])
+			}
+			if res.Utilities[i] != res.Ledger.Balance(i) {
+				t.Fatalf("seed %d: U_%d = %v, want ledger balance %v",
+					seed, i, res.Utilities[i], res.Ledger.Balance(i))
+			}
+		}
 	}
 }
 
