@@ -96,20 +96,20 @@ func TestCompareReportsSoftKeysMayEvolve(t *testing.T) {
 // point fails the presence check.
 func TestCompareReportsProcsKeyed(t *testing.T) {
 	old := report(
-		microResult{Op: "verify_batch", M: 16384, Procs: 1, NsPerOp: 4000},
-		microResult{Op: "verify_batch", M: 16384, Procs: 8, NsPerOp: 900},
+		microResult{Op: "protocol_round", M: 64, Procs: 1, NsPerOp: 4000},
+		microResult{Op: "protocol_round", M: 64, Procs: 8, NsPerOp: 900},
 	)
 	next := report(
-		microResult{Op: "verify_batch", M: 16384, Procs: 1, NsPerOp: 4100},
-		microResult{Op: "verify_batch", M: 16384, Procs: 8, NsPerOp: 2000}, // parallel path regressed
+		microResult{Op: "protocol_round", M: 64, Procs: 1, NsPerOp: 4100},
+		microResult{Op: "protocol_round", M: 64, Procs: 8, NsPerOp: 2000}, // parallel path regressed
 	)
-	err := compareReports(old, next, "verify_batch")
-	if err == nil || !strings.Contains(err.Error(), "verify_batch/m=16384/p=8") {
+	err := compareReports(old, next, "protocol_round")
+	if err == nil || !strings.Contains(err.Error(), "protocol_round/m=64/p=8") {
 		t.Fatalf("want p=8 regression, got: %v", err)
 	}
-	lost := report(microResult{Op: "verify_batch", M: 16384, Procs: 1, NsPerOp: 4000})
-	err = compareReports(old, lost, "verify_batch")
-	if err == nil || !strings.Contains(err.Error(), "verify_batch/m=16384/p=8") {
+	lost := report(microResult{Op: "protocol_round", M: 64, Procs: 1, NsPerOp: 4000})
+	err = compareReports(old, lost, "protocol_round")
+	if err == nil || !strings.Contains(err.Error(), "protocol_round/m=64/p=8") {
 		t.Fatalf("want missing p=8 key, got: %v", err)
 	}
 }

@@ -69,22 +69,8 @@ var sizes = []int{8, 64, 512, 4096}
 // ops. The Phase II w̄ identity is scale-free since the α̂-ratio billing
 // rework, so arithmetic no longer caps m; what remains is that the chain
 // engine spawns one goroutine per processor, and past a few hundred of them
-// a saturated CPU makes the default failure detector trip spuriously. The
-// large-m protocol axis rides on the sharded engine (shardedSizes), which
-// runs one goroutine per shard.
+// a saturated CPU makes the default failure detector trip spuriously.
 var protocolSizes = []int{8, 64, 128}
-
-// largeSizes is the large-m axis for the streaming solver and the chunked
-// batch-verification ops — the m ≈ 10⁵ regime the sharded engine feeds.
-var largeSizes = []int{16384, 65536, 262144}
-
-// shardedSizes is the chain-size axis for the sharded tree-of-arbiters
-// round, paired against the goroutine-per-node chain engine at equal m.
-var shardedSizes = []int{1024, 8192}
-
-// shardedBenchConfig fixes the tree shape for the sharded ops: 16 contiguous
-// segments feeding the root through a fanout-4 tree (two levels).
-var shardedBenchConfig = protocol.ShardConfig{Shards: 16, Fanout: 4}
 
 // microResult is one (op, m) measurement. SpeedupVsSequential compares the
 // allocation-free hot path against its allocating sequential-era
@@ -124,7 +110,7 @@ type benchReport struct {
 // from runtime.MemStats deltas around the loop.
 // minIters floors the timed loop: an op longer than benchtime would
 // otherwise be measured from a single call, and for the heavyweight ops
-// (the m=8192 sharded round allocates ~16 MB per round) GC timing alone
+// (a cold protocol round takes tens of ms at m ≥ 64) GC timing alone
 // swings a one-shot measurement past the compare gate's 15% threshold.
 // Three calls amortize one mid-round GC cycle to noise.
 const minIters = 3
@@ -213,28 +199,6 @@ func microBenchmarks(seed uint64, benchtime time.Duration, hooks obs.Hooks, proc
 		add("des_run", m, ns, b, allocs, 0)
 	}
 
-	// Streaming boundary solve at the large-m axis: SolveBoundaryStream
-	// walks the same recurrence as SolveBoundaryInto but stores one float
-	// per processor and emits rows through a callback; the pairing prices
-	// that against materializing the four solution vectors.
-	for _, m := range largeSizes {
-		n := chain(seed, m)
-		var scratch []float64
-		var sink float64
-		ns, b, allocs := measure(benchtime, func() {
-			mk, s := dlt.SolveBoundaryStream(n, scratch, func(i int, alpha, hat, d, wBar float64) {
-				sink += alpha
-			})
-			scratch, sink = s, sink+mk
-		})
-		var a dlt.Allocation
-		intoNs, _, _ := measure(benchtime, func() { dlt.SolveBoundaryInto(n, &a) })
-		if sink == 0 {
-			fatal(fmt.Errorf("m=%d: streaming solve emitted nothing", m))
-		}
-		add("solve_boundary_stream", m, ns, b, allocs, intoNs/ns)
-	}
-
 	runRound := func(m int, do func() (*protocol.Result, error)) {
 		res, err := do()
 		if err != nil {
@@ -266,99 +230,6 @@ func microBenchmarks(seed uint64, benchtime time.Duration, hooks obs.Hooks, proc
 			runtime.GOMAXPROCS(prev)
 			addP("protocol_round", m, pr, ns, b, allocs, coldNs/ns)
 			addP("protocol_round_cold", m, pr, coldNs, coldB, coldAllocs, 0)
-		}
-	}
-
-	// Sharded tree-of-arbiters round at sizes the goroutine-per-node chain
-	// pays dearly for: one goroutine per contiguous segment, Phase I/IV
-	// traffic batched into per-shard frames up a fanout tree. The pairing is
-	// the warm chain session at equal m — the speedup IS the sharding story.
-	for _, m := range shardedSizes {
-		n := chain(seed, m)
-		prof := agent.AllTruthful(n.Size())
-		cfg := core.DefaultConfig()
-		rec := protocol.RecoveryConfig{Timeout: time.Duration(max(150, m)) * time.Millisecond}
-		p := protocol.Params{Net: n, Profile: prof, Cfg: cfg, Seed: seed, Recovery: rec, Hooks: hooks}
-		ss, err := protocol.NewShardedSession(n.Size(), seed, shardedBenchConfig)
-		if err != nil {
-			fatal(err)
-		}
-		sess := protocol.NewSession(n.Size(), seed)
-		for _, pr := range procs {
-			prev := runtime.GOMAXPROCS(pr)
-			ns, b, allocs := measure(benchtime, func() { runRound(m, func() (*protocol.Result, error) { return ss.Run(p) }) })
-			chainNs, _, _ := measure(benchtime, func() { runRound(m, func() (*protocol.Result, error) { return sess.Run(p) }) })
-			runtime.GOMAXPROCS(prev)
-			addP("protocol_round_sharded", m, pr, ns, b, allocs, chainNs/ns)
-		}
-	}
-
-	// Batched signature verification: one VerifyBatch over the m+1 Phase I
-	// bids vs the same set through per-message Verify calls. Both run against
-	// a warm memo — the steady state of a session — so the pairing prices the
-	// batch's single lock acquisition against m+1 lock round-trips. The
-	// large-m points price the root's bulk ingest of batched shard frames;
-	// the per-message pairing is skipped there (it measures nothing new and
-	// takes minutes at m ≈ 10⁵).
-	for _, m := range append(append([]int{}, protocolSizes...), largeSizes...) {
-		pki := sign.NewPKI()
-		batch := make([]sign.Signed, m+1)
-		for i := range batch {
-			s := sign.NewSigner(i, seed)
-			pki.MustRegister(i, s.Public())
-			batch[i] = s.Sign(wire.EncodeSlot(wire.SlotEquivBid, i, 1+float64(i)))
-		}
-		if err := pki.VerifyBatch(batch); err != nil {
-			fatal(err)
-		}
-		for _, pr := range procs {
-			prev := runtime.GOMAXPROCS(pr)
-			ns, b, allocs := measure(benchtime, func() {
-				if err := pki.VerifyBatch(batch); err != nil {
-					fatal(err)
-				}
-			})
-			speedup := 0.0
-			if m <= 128 {
-				seqNs, _, _ := measure(benchtime, func() {
-					for i := range batch {
-						if err := pki.Verify(batch[i]); err != nil {
-							fatal(err)
-						}
-					}
-				})
-				speedup = seqNs / ns
-			}
-			runtime.GOMAXPROCS(prev)
-			addP("verify_batch", m, pr, ns, b, allocs, speedup)
-		}
-	}
-
-	// Cold chunked verification: a fresh PKI per iteration forces every
-	// signature through the real ed25519 path, so the chunk fan-out (not the
-	// memo) is what the procs axis prices. One size is enough — the op is
-	// ed25519-bound and scales linearly.
-	{
-		const m = 16384
-		signers := make([]*sign.Signer, m+1)
-		batch := make([]sign.Signed, m+1)
-		for i := range batch {
-			signers[i] = sign.NewSigner(i, seed)
-			batch[i] = signers[i].Sign(wire.EncodeSlot(wire.SlotEquivBid, i, 1+float64(i)))
-		}
-		for _, pr := range procs {
-			prev := runtime.GOMAXPROCS(pr)
-			ns, b, allocs := measure(benchtime, func() {
-				pki := sign.NewPKI()
-				for i, s := range signers {
-					pki.MustRegister(i, s.Public())
-				}
-				if err := pki.VerifyBatch(batch); err != nil {
-					fatal(err)
-				}
-			})
-			runtime.GOMAXPROCS(prev)
-			addP("verify_batch_cold", m, pr, ns, b, allocs, 0)
 		}
 	}
 

@@ -107,6 +107,18 @@ func SolveBoundaryInto(n *Network, a *Allocation) {
 	}
 }
 
+// BoundaryMakespan returns the optimal makespan w̄_0 for a unit load in O(1)
+// memory: the backward sweep needs only the running equivalent bid when the
+// per-processor fractions are not wanted. Pre-validated fast path.
+func BoundaryMakespan(n *Network) float64 {
+	m := n.M()
+	wbar := n.W[m]
+	for i := m - 1; i >= 0; i-- {
+		_, wbar = EquivTwo(n.W[i], n.Z[i+1], wbar)
+	}
+	return wbar
+}
+
 // growFloats returns s resized to length n, reusing its backing array when
 // the capacity allows and allocating only on growth.
 func growFloats(s []float64, n int) []float64 {

@@ -398,3 +398,40 @@ func TestSolveBoundaryIntoZeroAlloc(t *testing.T) {
 		t.Fatalf("SolveBoundaryInto allocates %v per run, want 0", allocs)
 	}
 }
+
+// TestBoundaryMakespanMatchesInto checks the O(1)-memory makespan sweep
+// against the materializing solve across sizes: the backward sweeps perform
+// the same operations in the same order, so the makespans are bit-identical.
+func TestBoundaryMakespanMatchesInto(t *testing.T) {
+	r := xrand.New(7)
+	var a Allocation
+	for _, m := range []int{0, 1, 2, 3, 5, 8, 17, 64, 512, 4096, 9} { // shrink at the end: reuse oversized slices
+		n := randomChain(r, m)
+		SolveBoundaryInto(n, &a)
+		if got := BoundaryMakespan(n); got != a.WBar[0] {
+			t.Fatalf("m=%d: BoundaryMakespan %v, want %v", m, got, a.WBar[0])
+		}
+	}
+}
+
+// TestSolveBoundaryAllocPinsAt65536 pins the growFloats growth paths at a
+// large m: warm re-solves must stay allocation-free, so a regression in the
+// scratch-reuse discipline cannot hide behind small-m pins.
+func TestSolveBoundaryAllocPinsAt65536(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run without -race for the allocation contract")
+	}
+	const m = 65536
+	n := randomChain(xrand.New(3), m)
+
+	var a Allocation
+	SolveBoundaryInto(n, &a) // warm
+	if allocs := testing.AllocsPerRun(5, func() { SolveBoundaryInto(n, &a) }); allocs != 0 {
+		t.Fatalf("SolveBoundaryInto allocates %v per run at m=%d, want 0", allocs, m)
+	}
+	var sink float64
+	if allocs := testing.AllocsPerRun(5, func() { sink += BoundaryMakespan(n) }); allocs != 0 {
+		t.Fatalf("BoundaryMakespan allocates %v per run at m=%d, want 0", allocs, m)
+	}
+	_ = sink
+}

@@ -220,7 +220,7 @@ func (a *arbiter) reportBadG(reporter int, g gMsg) {
 	defer a.mu.Unlock()
 	accused := reporter - 1
 	a.r.countVerifyN(5)
-	vals, err := verifyG(a.r.pki, reporter, g, a.r.seqVerify)
+	vals, err := verifyG(a.r.pki, reporter, g)
 	if err != nil {
 		// The evidence itself is inauthentic: cannot substantiate.
 		a.fineAndRewardLocked(ViolationFalseAccuse, reporter, accused, 0)
@@ -290,7 +290,7 @@ func (a *arbiter) reportOverload(reporter int, g gMsg, att device.Attestation, m
 	}
 	accused := reporter - 1
 	a.r.countVerifyN(7)
-	vals, err := verifyG(a.r.pki, reporter, g, a.r.seqVerify)
+	vals, err := verifyG(a.r.pki, reporter, g)
 	valid := err == nil
 	var provedReceived float64
 	if valid {
@@ -373,7 +373,7 @@ func (a *arbiter) recomputeBill(b billMsg, solutionFound bool) (billMsg, error) 
 	m := r.size - 1
 	r.countVerifyN(8)
 
-	vals, err := verifyG(r.pki, j, b.Proof.G, r.seqVerify)
+	vals, err := verifyG(r.pki, j, b.Proof.G)
 	if err != nil {
 		return billMsg{}, fmt.Errorf("proof G_%d: %w", j, err)
 	}
@@ -446,19 +446,6 @@ func (r *runner) takeBill(b billMsg) {
 			r.sink.RecordBill(b)
 		}
 	}
-}
-
-// collect assembles the Result after every goroutine has finished: the
-// exchange is finished and settled in one step. Sequential Session.Run and
-// the sharded engine both come through here, so the pipelined split below
-// shares their exact code path — that is what makes pipelined rounds
-// bit-identical to sequential ones by construction.
-func (r *runner) collect() *Result {
-	if r.job == nil {
-		r.job = &settleJob{}
-	}
-	r.finishExchange(r.job)
-	return r.job.settle()
 }
 
 // finishExchange is stage A of the settlement split: drain the bill plane,

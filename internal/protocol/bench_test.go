@@ -3,32 +3,39 @@ package protocol
 import (
 	"testing"
 
-	"dlsmech/internal/obs"
+	"dlsmech/internal/agent"
+	"dlsmech/internal/core"
+	"dlsmech/internal/workload"
+	"dlsmech/internal/xrand"
 )
 
-// The chain/sharded benchmark pair below is the profiling vehicle for the
-// two engines: run either with -cpuprofile to see where a warm round spends
-// its time. The chain engine's profile is dominated by the Go scheduler
-// (one goroutine per processor, every message a channel rendezvous along
-// the chain); the sharded engine's by real mechanism work (ed25519 memo
-// lookups, the boundary sweep, frame splicing). dlsbench's
-// protocol_round_sharded op measures the same pairing wall-clock; these
-// exist so `go tool pprof` can attribute it.
+// BenchmarkChainRound is the profiling vehicle for the engine: run it with
+// -cpuprofile to see where a warm round spends its time. Its profile is
+// dominated by the Go scheduler (one goroutine per processor, every message
+// a channel rendezvous along the chain). dlsbench's protocol_round op
+// measures warm rounds wall-clock; this exists so `go tool pprof` can
+// attribute them.
 
 const benchM = 1024
 
-func benchSession(b *testing.B) (*Session, Params) {
-	b.Helper()
-	p := shardParams(benchM, 11)
+// chainParams builds a deterministic truthful round at the given size.
+func chainParams(size int, seed uint64) Params {
+	net := workload.Chain(xrand.New(seed), workload.DefaultChainSpec(size-1))
+	return Params{
+		Net:      net,
+		Profile:  agent.AllTruthful(size),
+		Cfg:      core.DefaultConfig(),
+		Seed:     seed,
+		Recovery: fastRec(),
+	}
+}
+
+func BenchmarkChainRound(b *testing.B) {
+	p := chainParams(benchM, 11)
 	sess := NewSession(benchM, 11)
 	if res, err := sess.Run(p); err != nil || !res.Completed {
 		b.Fatalf("warmup chain round failed: %v", err)
 	}
-	return sess, p
-}
-
-func BenchmarkChainRound(b *testing.B) {
-	sess, p := benchSession(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -37,83 +44,4 @@ func BenchmarkChainRound(b *testing.B) {
 			b.Fatalf("chain round failed: %v", err)
 		}
 	}
-}
-
-func BenchmarkShardedRound(b *testing.B) {
-	p := shardParams(benchM, 11)
-	ss, err := NewShardedSession(benchM, 11, ShardConfig{Shards: 16, Fanout: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if res, err := ss.Run(p); err != nil || !res.Completed {
-		b.Fatalf("warmup sharded round failed: %v", err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := ss.Run(p)
-		if err != nil || !res.Completed {
-			b.Fatalf("sharded round failed: %v", err)
-		}
-	}
-}
-
-// TestShardedObsAccounting pins the observability contract on the sharded
-// engine: dls_messages_total must equal Result.Stats.Messages exactly (the
-// same parity the chain engine's exact-count tests assert), and the round
-// opens exactly one root-level round span. It also records, side by side,
-// how many message legs each engine needs for the same round — the
-// tree-of-arbiters' fan-in batching is visible as a large gap, which is the
-// span/counter evidence EXPERIMENTS.md cites.
-func TestShardedObsAccounting(t *testing.T) {
-	t.Parallel()
-	const size = 256
-
-	chainCol := obs.NewCollector()
-	pc := shardParams(size, 23)
-	pc.Hooks = chainCol
-	chainRes, err := NewSession(size, 23).Run(pc)
-	if err != nil || !chainRes.Completed {
-		t.Fatalf("chain round failed: %v", err)
-	}
-
-	shardCol := obs.NewCollector()
-	ps := shardParams(size, 23)
-	ps.Hooks = shardCol
-	ss, err := NewShardedSession(size, 23, ShardConfig{Shards: 8, Fanout: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardRes, err := ss.Run(ps)
-	if err != nil || !shardRes.Completed {
-		t.Fatalf("sharded round failed: %v", err)
-	}
-	assertSameOutcome(t, "obs-accounting", chainRes, shardRes)
-
-	chainSnap := chainCol.Reg.Snapshot()
-	shardSnap := shardCol.Reg.Snapshot()
-
-	if got := shardSnap.Counters[obs.MetricMessages]; got != shardRes.Stats.Messages {
-		t.Errorf("sharded %s = %d, Result.Stats.Messages = %d",
-			obs.MetricMessages, got, shardRes.Stats.Messages)
-	}
-	if got := chainSnap.Counters[obs.MetricMessages]; got != chainRes.Stats.Messages {
-		t.Errorf("chain %s = %d, Result.Stats.Messages = %d",
-			obs.MetricMessages, got, chainRes.Stats.Messages)
-	}
-	roundKey := obs.MetricPhaseStarts + `{phase="` + obs.PhaseRound + `"}`
-	if got := shardSnap.Counters[roundKey]; got != 1 {
-		t.Errorf("sharded round spans = %d, want exactly 1", got)
-	}
-
-	// The sharded round must need strictly fewer message legs: Phase I bids
-	// and Phase IV bills ride batched frames up the tree instead of
-	// hop-by-hop slots through every intermediate processor.
-	if shardRes.Stats.Messages >= chainRes.Stats.Messages {
-		t.Errorf("sharded round used %d messages, chain used %d — batching saved nothing",
-			shardRes.Stats.Messages, chainRes.Stats.Messages)
-	}
-	t.Logf("m=%d message legs: chain=%d sharded=%d (%.1fx fewer)",
-		size, chainRes.Stats.Messages, shardRes.Stats.Messages,
-		float64(chainRes.Stats.Messages)/float64(shardRes.Stats.Messages))
 }

@@ -13,8 +13,8 @@ import (
 // (internal/server checks its recorder's sticky error before acknowledging
 // the round).
 //
-// Call sites are the shared step/arbiter helpers, so the chain and sharded
-// engines record the identical artifact set for equal seeds:
+// Call sites are the step/arbiter helpers, so sequential and pipelined
+// rounds record the identical artifact set for equal seeds:
 //
 //   - RecordBid: the root's registration of P_slot's signed Phase I
 //     commitment (arbiter.noteBid, deduplicated — one call per processor).

@@ -77,21 +77,9 @@ type gValues struct {
 }
 
 // verifyG checks authenticity, integrity and slot shape of G_i for receiver
-// i. The two "prev-prev" items are signed by i-2 (or the root for i = 1),
-// the rest by i-1.
-//
-// sequential forces the one-by-one reference path; the default batches the
-// five signature checks through the PKI (see PKI.VerifyBatch) and then runs
-// the slot-shape checks against the now-memoized signatures, so a batch
-// failure still surfaces exactly the per-slot error the sequential loop
-// reports.
-func verifyG(pki *sign.PKI, i int, g gMsg, sequential bool) (gValues, error) {
-	if !sequential {
-		batch := [5]sign.Signed{g.PrevLoad, g.Load, g.PrevEquiv, g.PrevBid, g.EchoEquiv}
-		// Ignore the batch verdict: pass or fail, the per-slot loop below
-		// decides, and on a pass it runs entirely on memo hits.
-		_ = pki.VerifyBatch(batch[:])
-	}
+// i, slot by slot through the PKI memo. The two "prev-prev" items are signed
+// by i-2 (or the root for i = 1), the rest by i-1.
+func verifyG(pki *sign.PKI, i int, g gMsg) (gValues, error) {
 	signerPrevPrev := i - 2
 	if i == 1 {
 		signerPrevPrev = 0

@@ -167,7 +167,7 @@ func (r *runner) runProcessor(i int) {
 	}
 	if !r.phaseEntry(i, fault.PhaseBill) {
 		// Crash between computing and billing: the work is done, the bill
-		// never arrives. collect() notices the gap post-hoc.
+		// never arrives. finishExchange notices the gap post-hoc.
 		return
 	}
 	r.startPhase(i, fault.PhaseBill)
@@ -253,7 +253,7 @@ func (r *runner) verifyBidBatch(signed []sign.Signed, wantSigner, wantIndex int)
 // verifyG wraps messages.verifyG with the verification counter (5 checks).
 func (r *runner) verifyG(i int, g gMsg) (gValues, error) {
 	r.countVerifyN(5)
-	return verifyG(r.pki, i, g, r.seqVerify)
+	return verifyG(r.pki, i, g)
 }
 
 // meterRecord produces the root-signed meter reading for processor i via the

@@ -36,7 +36,7 @@
 // PKI's verification memo, the signers' signature memos, the Λ issuer's
 // identifier registry, channels, and every per-round scratch buffer persist,
 // so a steady-state round does arithmetic and memo lookups instead of
-// crypto. See DESIGN.md, "Wire format & signature batching".
+// crypto. See DESIGN.md, "Wire format & signature memos".
 package protocol
 
 import (
@@ -79,11 +79,6 @@ type Params struct {
 	// retries, fines, audits). nil means obs.Nop: the disabled path is
 	// bench-pinned to add zero allocations to the round.
 	Hooks obs.Hooks
-	// SequentialVerify forces one-by-one signature verification everywhere,
-	// disabling the per-phase batched passes. It is the reference path for
-	// the batch-vs-sequential differential tests; verdicts and named
-	// deviants must be identical either way.
-	SequentialVerify bool
 	// Evidence optionally receives every signed artifact the round produces
 	// (nil records nothing). See EvidenceSink for the contract.
 	Evidence EvidenceSink
@@ -338,7 +333,6 @@ func (r *runner) procMain(i int, wg *sync.WaitGroup) {
 // structure from previous rounds.
 func (r *runner) resetRound(p Params, unit float64, seed uint64) error {
 	r.params = p
-	r.seqVerify = p.SequentialVerify
 	r.sink = p.Evidence
 	r.rec = p.Recovery.withDefaults()
 	r.hooks = obs.Or(p.Hooks)
@@ -467,22 +461,21 @@ func (st *procState) reset() {
 }
 
 type runner struct {
-	params    Params
-	size      int
-	unit      float64
-	chanCap   int
-	seqVerify bool
-	pki       *sign.PKI
-	signers   []*sign.Signer
-	meters    []*device.Meter
-	issuer    *device.Issuer
-	blockBuf  []device.Block
-	ledger    *payment.Ledger
-	arb       *arbiter
-	inj       fault.Injector
-	rec       RecoveryConfig
-	hooks     obs.Hooks
-	sink      EvidenceSink
+	params   Params
+	size     int
+	unit     float64
+	chanCap  int
+	pki      *sign.PKI
+	signers  []*sign.Signer
+	meters   []*device.Meter
+	issuer   *device.Issuer
+	blockBuf []device.Block
+	ledger   *payment.Ledger
+	arb      *arbiter
+	inj      fault.Injector
+	rec      RecoveryConfig
+	hooks    obs.Hooks
+	sink     EvidenceSink
 
 	// Ledger memo strings, built once per session.
 	memoC, memoE, memoB, memoS []string
@@ -501,9 +494,9 @@ type runner struct {
 	billSeen []bool
 	billList []billMsg
 
-	// job is the default settle job for the one-stage paths (Session.Run,
-	// the sharded engine), allocated lazily by collect. Pipelined rounds
-	// bring their own jobs so settles can outlive the next exchange.
+	// job is the settle job of Session.Run, allocated on its first round.
+	// Pipelined rounds bring their own jobs so settles can outlive the next
+	// exchange.
 	job *settleJob
 
 	p3mu    sync.Mutex

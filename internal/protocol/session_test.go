@@ -73,24 +73,6 @@ func TestSessionMatchesRun(t *testing.T) {
 	}
 }
 
-// TestSessionSequentialVerifyMatches pins that disabling the batched
-// signature passes changes nothing observable.
-func TestSessionSequentialVerifyMatches(t *testing.T) {
-	t.Parallel()
-	n := testNet(t)
-	p := Params{Net: n, Profile: agent.AllTruthful(4), Cfg: core.DefaultConfig(), Seed: 3}
-	batched, err := Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.SequentialVerify = true
-	seq, err := Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "sequential-verify", batched, seq)
-}
-
 func TestSessionRejectsWrongSize(t *testing.T) {
 	t.Parallel()
 	n := testNet(t)

@@ -9,13 +9,10 @@ import (
 	"dlsmech/internal/sign"
 )
 
-// The per-processor protocol logic, factored out of the goroutine-per-node
-// chain engine so the sharded engine (shard.go) executes the exact same
-// computations. Each step covers one phase's receive-side verification or
+// The per-processor protocol logic of the goroutine-per-node chain engine
+// (runProcessor). Each step covers one phase's receive-side verification or
 // send-side construction for one processor; all state lives in procState,
-// and every grievance goes through the same arbiter entry points. Keeping
-// one copy of the rules is what makes the sharded round's payments
-// bit-identical to the chain round's at equal seeds.
+// and every grievance goes through the arbiter entry points.
 
 // phase1Inbound verifies the successor's Phase I message for receiver i < m
 // and returns w̄_{i+1}. false means the round ended for this processor (a
@@ -176,8 +173,8 @@ func (r *runner) phase3Mint() (device.Attestation, bool) {
 
 // phase3Route applies the Phase III retention rule for processor i given
 // the inbound transfer and returns the outgoing transfer (send is true iff
-// i < m). The outgoing message is built before any metering so the chain
-// engine can forward it immediately and overlap the successor's work.
+// i < m). The outgoing message is built before any metering so the caller
+// can forward it immediately and overlap the successor's work.
 func (r *runner) phase3Route(i int, received float64, att device.Attestation, corrupted bool) (out loadMsg, send bool) {
 	b := r.behavior(i)
 	st := r.procs[i]

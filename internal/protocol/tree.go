@@ -55,7 +55,7 @@ type TreeResult struct {
 	Completed     bool
 	TermReason    string
 	Bids          []float64 // declared per-unit times, preorder
-	Retained      []float64 // load actually computed, preorder
+	Retained      []float64 // load actually computed, preorder (all zero when the run failed in Phase I/II)
 	Detections    []Detection
 	Ledger        *payment.Ledger
 	Utilities     []float64
@@ -164,6 +164,9 @@ type treeRunner struct {
 	arbMu      sync.Mutex
 	terminated bool
 	termReason string
+	// void marks a termination in Phase I or II: no load was distributed,
+	// so collect reports no Phase III work (see terminate).
+	void       bool
 	detections []Detection
 }
 
@@ -311,19 +314,24 @@ func (r *treeRunner) phase3Arrive() {
 	r.p3mu.Unlock()
 }
 
-// terminate aborts the run (idempotent).
-func (r *treeRunner) terminate(reason string) {
+// terminate aborts the run (idempotent: the first termination wins).
+// early marks a Phase I/II failure. Nodes upstream of such a failure may
+// already have started Phase III when the abort reached them; that work is
+// void, or a terminated run's retained loads and utilities would depend on
+// how far the abort raced.
+func (r *treeRunner) terminate(reason string, early bool) {
 	r.arbMu.Lock()
 	defer r.arbMu.Unlock()
-	r.terminateLocked(reason)
+	r.terminateLocked(reason, early)
 }
 
-func (r *treeRunner) terminateLocked(reason string) {
+func (r *treeRunner) terminateLocked(reason string, early bool) {
 	if r.terminated {
 		return
 	}
 	r.terminated = true
 	r.termReason = reason
+	r.void = early
 	close(r.abort)
 }
 
@@ -431,13 +439,13 @@ func (r *treeRunner) reportBadH(reporter int, h hMsg, ownBidMsg sign.Signed) {
 	switch stage {
 	case hStageArith:
 		r.fineAndRewardLocked(ViolationWrongCompute, accused, reporter, 0)
-		r.terminateLocked(fmt.Sprintf("P%d miscomputed the tree allocation: %v", accused, err))
+		r.terminateLocked(fmt.Sprintf("P%d miscomputed the tree allocation: %v", accused, err), true)
 	case hStageEcho:
 		r.fineAndRewardLocked(ViolationContradiction, reporter, accused, 0)
-		r.terminateLocked(fmt.Sprintf("P%d disowned its own signed tree bid", reporter))
+		r.terminateLocked(fmt.Sprintf("P%d disowned its own signed tree bid", reporter), true)
 	default: // hStageSig (unattributable evidence) or hStageOK (nothing wrong)
 		r.fineAndRewardLocked(ViolationFalseAccuse, reporter, accused, 0)
-		r.terminateLocked(fmt.Sprintf("P%d falsely accused P%d of wrong tree computation", reporter, accused))
+		r.terminateLocked(fmt.Sprintf("P%d falsely accused P%d of wrong tree computation", reporter, accused), true)
 	}
 }
 
@@ -448,11 +456,11 @@ func (r *treeRunner) reportTreeContradiction(reporter, accused int, m1, m2 sign.
 	r.countVerifyN(2)
 	if m1.SignerID == accused && r.pki.Contradiction(m1, m2) {
 		r.fineAndRewardLocked(ViolationContradiction, accused, reporter, 0)
-		r.terminateLocked(fmt.Sprintf("P%d sent contradictory tree bids", accused))
+		r.terminateLocked(fmt.Sprintf("P%d sent contradictory tree bids", accused), true)
 		return
 	}
 	r.fineAndRewardLocked(ViolationFalseAccuse, reporter, accused, 0)
-	r.terminateLocked(fmt.Sprintf("P%d falsely accused P%d", reporter, accused))
+	r.terminateLocked(fmt.Sprintf("P%d falsely accused P%d", reporter, accused), true)
 }
 
 // reportTreeOverload arbitrates Phase III dumping: Λ proves the received
@@ -507,8 +515,11 @@ func (r *treeRunner) collect() *TreeResult {
 	}
 	for i, st := range r.states {
 		res.Bids[i] = st.bid
-		res.Retained[i] = st.retained
-		res.Utilities[i] = st.valuation + r.ledger.Balance(i)
+		if !r.void {
+			res.Retained[i] = st.retained
+			res.Utilities[i] = st.valuation
+		}
+		res.Utilities[i] += r.ledger.Balance(i)
 	}
 	return res
 }

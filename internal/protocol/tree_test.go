@@ -166,6 +166,36 @@ func TestTreeMiscomputerCaught(t *testing.T) {
 	}
 }
 
+// TestTreeEarlyTerminationVoidsPhase3 pins the determinism of a run that
+// fails in Phase I or II: no load is distributed, so the root and any node
+// that raced the abort into Phase III report no retained load and no
+// valuation — each utility is exactly the node's ledger balance, however
+// far the abort got. Twenty seeds give the scheduler room to race.
+func TestTreeEarlyTerminationVoidsPhase3(t *testing.T) {
+	t.Parallel()
+	root := testTree(t)
+	cfg := core.DefaultConfig()
+	for _, dev := range []struct {
+		pos int
+		b   agent.Behavior
+	}{{1, agent.Miscomputer()}, {4, agent.Contradictor()}} {
+		for seed := uint64(1); seed <= 20; seed++ {
+			res := runTreeWith(t, root, agent.AllTruthful(6).WithDeviant(dev.pos, dev.b), cfg, seed)
+			if res.Completed {
+				t.Fatalf("%s seed %d: run completed", dev.b.Label, seed)
+			}
+			for i := range res.Retained {
+				if res.Retained[i] != 0 {
+					t.Fatalf("%s seed %d: retained_%d = %v in a Phase I/II termination", dev.b.Label, seed, i, res.Retained[i])
+				}
+				if res.Utilities[i] != res.Ledger.Balance(i) {
+					t.Fatalf("%s seed %d: U_%d = %v, want the ledger balance %v", dev.b.Label, seed, i, res.Utilities[i], res.Ledger.Balance(i))
+				}
+			}
+		}
+	}
+}
+
 func TestTreeShedderCaughtAndUnprofitable(t *testing.T) {
 	t.Parallel()
 	root := testTree(t)

@@ -31,12 +31,12 @@ func (r *treeRunner) runNode(i int) {
 			return
 		}
 		if len(bm.Signed) == 0 {
-			r.terminate(fmt.Sprintf("P%d: empty tree bid from P%d", i, c))
+			r.terminate(fmt.Sprintf("P%d: empty tree bid from P%d", i, c), true)
 			return
 		}
 		for _, s := range bm.Signed {
 			if _, err := r.expectSlot(s, c, slotEquivBid, c); err != nil {
-				r.terminate(fmt.Sprintf("P%d: inauthentic tree bid from P%d: %v", i, c, err))
+				r.terminate(fmt.Sprintf("P%d: inauthentic tree bid from P%d: %v", i, c, err), true)
 				return
 			}
 		}
@@ -52,7 +52,7 @@ func (r *treeRunner) runNode(i int) {
 	if m > 0 {
 		star, err := r.starFromBids(i, bid, st.childQ)
 		if err != nil {
-			r.terminate(fmt.Sprintf("P%d: star solve: %v", i, err))
+			r.terminate(fmt.Sprintf("P%d: star solve: %v", i, err), true)
 			return
 		}
 		st.starAlloc = star
@@ -121,7 +121,7 @@ func (r *treeRunner) runNode(i int) {
 	if i == 0 {
 		minted, err := r.issuer.Mint(1)
 		if err != nil {
-			r.terminate(fmt.Sprintf("P0: mint: %v", err))
+			r.terminate(fmt.Sprintf("P0: mint: %v", err), false)
 			return
 		}
 		att, received = minted, 1
@@ -188,7 +188,7 @@ func (r *treeRunner) runNode(i int) {
 	r.countSign()
 	reading, err := device.NewMeter(r.signers[0], i).Record(wTilde, retained)
 	if err != nil {
-		r.terminate(fmt.Sprintf("P%d: meter: %v", i, err))
+		r.terminate(fmt.Sprintf("P%d: meter: %v", i, err), false)
 		return
 	}
 

@@ -297,72 +297,6 @@ func TestLedgerDrainDurability(t *testing.T) {
 	}
 }
 
-// TestLedgerChainShardedIdenticalEvidence: the chain engine and the
-// sharded tree-of-arbiters engine must record the identical artifact set
-// for the same round — the evidence hooks live in the shared phase logic,
-// so the transport must be invisible in the ledger.
-func TestLedgerChainShardedIdenticalEvidence(t *testing.T) {
-	net := servertest.ChainNet(6, 9)
-	hello := wire.Hello{Tenant: "engines", Size: net.Size(), Seed: 11}
-	rq := servertest.RoundFor(net, 1, 77)
-
-	run := func(sharded bool) map[ledger.Hash]bool {
-		st, err := ledger.Open(ledger.NewMemBackend(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sl, err := st.OpenSession(hello)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rl, err := sl.OpenRound(rq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		params, err := server.RoundParams(hello.Size, rq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		params.Evidence = rl
-		// Keys derive from the session seed (hello.Seed), as in the daemon.
-		var res *protocol.Result
-		if sharded {
-			ss, serr := protocol.NewShardedSession(hello.Size, hello.Seed, protocol.ShardConfig{Shards: 3})
-			if serr != nil {
-				t.Fatal(serr)
-			}
-			res, err = ss.Run(params)
-		} else {
-			res, err = protocol.NewSession(hello.Size, hello.Seed).Run(params)
-		}
-		if err != nil {
-			t.Fatalf("run(sharded=%v): %v", sharded, err)
-		}
-		if err := rl.Close(server.ResultToWire(rq.Seq, res)); err != nil {
-			t.Fatal(err)
-		}
-		set := make(map[ledger.Hash]bool)
-		for _, h := range st.Session(sl.ID()).Gens[0].Artifacts {
-			set[h] = true
-		}
-		return set
-	}
-
-	chain := run(false)
-	shard := run(true)
-	if len(chain) == 0 {
-		t.Fatal("chain engine recorded no artifacts")
-	}
-	if len(chain) != len(shard) {
-		t.Fatalf("artifact counts differ: chain %d, sharded %d", len(chain), len(shard))
-	}
-	for h := range chain {
-		if !shard[h] {
-			t.Fatalf("artifact %s recorded by chain but not sharded engine", h.Short())
-		}
-	}
-}
-
 // TestAuditDetectsDoubleSubmissionFork: a second, different record in an
 // occupied (session, gen, slot, kind) cell — the DAG analog of a double
 // spend — must surface as an audit violation.

@@ -249,6 +249,19 @@ func (p *PKI) Verify(msg Signed) error {
 	return p.verifyAndMemoize(msg, key, fixed)
 }
 
+// VerifyBatch verifies msgs in order and returns the first failure: exactly
+// the verdict, and the named deviant, of a Verify loop over the slice. The
+// protocol verifies slot by slot; this is the bulk entry point the
+// end-to-end benchmark's serve-path replay prices (bench/replay.go).
+func (p *PKI) VerifyBatch(msgs []Signed) error {
+	for i := range msgs {
+		if err := p.Verify(msgs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // memoHit reports whether this exact (signer, payload, sig) triple has
 // already verified successfully: the probe is keyed by (signer, payload)
 // and the stored signature must match the presented one byte for byte.

@@ -2,6 +2,8 @@ package sign
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -340,5 +342,188 @@ func TestVerifyMemoConcurrent(t *testing.T) {
 	wg.Wait()
 	if pki.MemoSize() != len(msgs) {
 		t.Fatalf("memo size %d, want %d", pki.MemoSize(), len(msgs))
+	}
+}
+
+func batchOf(signers map[int]*Signer, n int) []Signed {
+	msgs := make([]Signed, 0, n)
+	for i := 0; i < n; i++ {
+		id := i % len(signers)
+		msgs = append(msgs, signers[id].Sign([]byte(fmt.Sprintf("msg-%d", i))))
+	}
+	return msgs
+}
+
+func TestVerifyBatchAllValid(t *testing.T) {
+	pki, signers := newRegistered(t, 0, 1, 2)
+	msgs := batchOf(signers, 9)
+	if err := pki.VerifyBatch(msgs); err != nil {
+		t.Fatalf("valid batch rejected: %v", err)
+	}
+	// Second pass must be answered entirely from the memo.
+	before := pki.MemoHits()
+	if err := pki.VerifyBatch(msgs); err != nil {
+		t.Fatalf("memoized batch rejected: %v", err)
+	}
+	if got := pki.MemoHits() - before; got != int64(len(msgs)) {
+		t.Fatalf("memo hits = %d, want %d", got, len(msgs))
+	}
+}
+
+func TestVerifyBatchEmpty(t *testing.T) {
+	pki, _ := newRegistered(t, 0)
+	if err := pki.VerifyBatch(nil); err != nil {
+		t.Fatalf("empty batch rejected: %v", err)
+	}
+}
+
+// TestVerifyBatchNamesSequentialDeviant is the core contract: for any batch,
+// VerifyBatch must return exactly the error a sequential Verify loop returns
+// — same verdict, same named deviant — no matter where the bad message sits.
+func TestVerifyBatchNamesSequentialDeviant(t *testing.T) {
+	for _, badAt := range []int{0, 3, 8, 17} {
+		badAt := badAt
+		t.Run(fmt.Sprintf("badAt=%d", badAt), func(t *testing.T) {
+			pki, signers := newRegistered(t, 0, 1, 2)
+			msgs := batchOf(signers, 18)
+			if badAt < len(msgs) {
+				msgs[badAt].Sig[0] ^= 0x01
+			}
+
+			var wantErr error
+			for _, m := range msgs {
+				if err := pki.Verify(m); err != nil {
+					wantErr = err
+					break
+				}
+			}
+			// Fresh PKI so the batch starts from a cold memo.
+			pki2 := NewPKI()
+			for id, s := range signers {
+				pki2.MustRegister(id, s.Public())
+			}
+			gotErr := pki2.VerifyBatch(msgs)
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("verdicts differ: sequential=%v batch=%v", wantErr, gotErr)
+			}
+			if wantErr != nil && gotErr.Error() != wantErr.Error() {
+				t.Fatalf("named deviant differs:\nsequential: %v\nbatch:      %v", wantErr, gotErr)
+			}
+		})
+	}
+}
+
+func TestVerifyBatchUnknownSigner(t *testing.T) {
+	pki, signers := newRegistered(t, 0, 1)
+	msgs := batchOf(signers, 4)
+	stranger := NewSigner(9, 42)
+	msgs[2] = stranger.Sign([]byte("who am I"))
+	err := pki.VerifyBatch(msgs)
+	if !errors.Is(err, ErrUnknownSigner) {
+		t.Fatalf("want ErrUnknownSigner, got %v", err)
+	}
+	if !strings.Contains(err.Error(), "9") {
+		t.Fatalf("deviant id missing from error: %v", err)
+	}
+}
+
+func TestVerifyLongPayloadFallback(t *testing.T) {
+	pki, signers := newRegistered(t, 1)
+	long := signers[1].Sign([]byte(strings.Repeat("x", memoMaxPayload+40)))
+	if err := pki.Verify(long); err != nil {
+		t.Fatal(err)
+	}
+	if pki.MemoSize() != 1 {
+		t.Fatalf("long payload not memoized: size=%d", pki.MemoSize())
+	}
+	before := pki.MemoHits()
+	for k := 0; k < 2; k++ {
+		if err := pki.Verify(long); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pki.MemoHits() != before+2 {
+		t.Fatalf("long-payload memo not hit")
+	}
+	// A tampered long payload misses the memo and fails.
+	bad := long.Clone()
+	bad.Payload[len(bad.Payload)-1] ^= 1
+	if err := pki.Verify(bad); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("tampered long payload: %v, want ErrBadSignature", err)
+	}
+}
+
+func TestSignMemoDeterministic(t *testing.T) {
+	s := NewSigner(3, 77)
+	payload := []byte("slot payload")
+	a := s.Sign(payload)
+	b := s.SignMemo(payload)
+	c := s.SignMemo(payload)
+	if !a.Equal(b) || !b.Equal(c) {
+		t.Fatal("SignMemo diverged from Sign")
+	}
+	if s.SignMemoHits() != 1 {
+		t.Fatalf("memo hits = %d, want 1", s.SignMemoHits())
+	}
+	// The memoized signature must verify like a fresh one.
+	pki := NewPKI()
+	pki.MustRegister(3, s.Public())
+	if err := pki.Verify(b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSignMemoConcurrent(t *testing.T) {
+	s := NewSigner(0, 5)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				msg := s.SignMemo([]byte(fmt.Sprintf("payload-%d", i%7)))
+				if msg.SignerID != 0 || len(msg.Sig) == 0 {
+					t.Error("bad memoized signature")
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestVerifyMemoHitAllocFree pins the fast path: a memoized Verify of a
+// protocol-sized payload must not allocate.
+func TestVerifyMemoHitAllocFree(t *testing.T) {
+	pki, signers := newRegistered(t, 1)
+	msg := signers[1].Sign([]byte("a 20-byte-ish slot.."))
+	if err := pki.Verify(msg); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := pki.Verify(msg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("memo-hit Verify allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestVerifyBatchMemoHitAllocFree pins that a fully memoized batch does
+// no allocation either.
+func TestVerifyBatchMemoHitAllocFree(t *testing.T) {
+	pki, signers := newRegistered(t, 0, 1, 2)
+	msgs := batchOf(signers, 12)
+	if err := pki.VerifyBatch(msgs); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := pki.VerifyBatch(msgs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("memo-hit VerifyBatch allocates %.1f/op, want 0", allocs)
 	}
 }

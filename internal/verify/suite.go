@@ -26,10 +26,6 @@ type Suite struct {
 	LambdaUnit float64
 	Recovery   protocol.RecoveryConfig
 	Hooks      obs.Hooks
-	// Sharded replays every cell's protocol rounds through the sharded
-	// tree-of-arbiters engine (see Scenario.Sharded) and adds the
-	// sharded-transport checker to the matrix. Nil keeps the chain engine.
-	Sharded *protocol.ShardConfig
 }
 
 // cellSeed decorrelates the (seed, size) cells: the same base seed must not
@@ -83,7 +79,6 @@ func (s *Suite) Run() (*Report, error) {
 				LambdaUnit: s.LambdaUnit,
 				Recovery:   s.Recovery,
 				Hooks:      s.Hooks,
-				Sharded:    s.Sharded,
 			}
 			run := func(name string, check func() []Verdict) {
 				hooks.OnPhaseStart(obs.Root, "verify:"+name)
@@ -98,9 +93,6 @@ func (s *Suite) Run() (*Report, error) {
 			run("theorem-5.2", one(CheckTheorem52))
 			run("theorem-5.3", one(CheckTheorem53))
 			run("theorem-5.4", one(CheckTheorem54))
-			if s.Sharded != nil {
-				run("sharded-transport", one(CheckShardedTransport))
-			}
 			run("pipeline-equivalence", one(CheckPipelineEquivalence))
 			run("pipeline-backlog", func() []Verdict { return CheckPipelineBacklog(sc) })
 			run("oracle-exact", one(CheckExactOracle))

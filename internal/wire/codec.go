@@ -56,7 +56,6 @@ func Peek(data []byte) (MsgType, error) {
 	}
 	switch t := MsgType(data[4]); t {
 	case TypeBid, TypeAlloc, TypeLoad, TypeBill, TypeGrievance,
-		TypeBidBatch, TypeBillBatch,
 		TypeHello, TypeHelloAck, TypeRound, TypeRoundResult, TypeSrvError,
 		TypeStream, TypeStreamEnd,
 		TypeLedgerRecord, TypeDetection:

@@ -19,10 +19,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 		AppendBill(nil, sampleBill()),
 		AppendBill(nil, Bill{Proof: Proof{}}),
 		AppendGrievance(nil, sampleGrievance()),
-		AppendBidBatch(nil, sampleBidBatch()),
-		AppendBidBatch(nil, BidBatch{Shard: 1}),
-		AppendBillBatch(nil, sampleBillBatch()),
-		AppendBillBatch(nil, BillBatch{}),
+		// The reserved type codes 0x06 and 0x07 (retired batch frames), bare
+		// and over a valid body, must be refused like any unknown type.
+		{'D', 'L', 'S', Version, 0x06, 0, 0, 0, 0},
+		{'D', 'L', 'S', Version, 0x07, 0, 0, 0, 0},
+		retype(AppendBid(nil, sampleBid()), 0x06),
+		retype(AppendBill(nil, sampleBill()), 0x07),
 		AppendHello(nil, sampleHello()),
 		AppendHelloAck(nil, HelloAck{SessionID: 7, Pooled: true}),
 		AppendRound(nil, sampleRound()),
@@ -78,14 +80,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 			var m Grievance
 			m, n, decErr = DecodeGrievance(data)
 			msg, reframe = m, func() []byte { return AppendGrievance(nil, m) }
-		case TypeBidBatch:
-			var m BidBatch
-			m, n, decErr = DecodeBidBatch(data)
-			msg, reframe = m, func() []byte { return AppendBidBatch(nil, m) }
-		case TypeBillBatch:
-			var m BillBatch
-			m, n, decErr = DecodeBillBatch(data)
-			msg, reframe = m, func() []byte { return AppendBillBatch(nil, m) }
 		case TypeHello:
 			var m Hello
 			m, n, decErr = DecodeHello(data)
@@ -141,4 +135,11 @@ func FuzzWireRoundTrip(f *testing.F) {
 			t.Fatalf("decode(encode(m)) != m for %s frame", typ)
 		}
 	})
+}
+
+// retype returns a copy of frame with its header type byte set to t.
+func retype(frame []byte, t byte) []byte {
+	out := append([]byte(nil), frame...)
+	out[4] = t
+	return out
 }

@@ -29,10 +29,6 @@ func ToJSON(msg interface{}) ([]byte, error) {
 		t = TypeBill
 	case Grievance:
 		t = TypeGrievance
-	case BidBatch:
-		t = TypeBidBatch
-	case BillBatch:
-		t = TypeBillBatch
 	default:
 		return nil, fmt.Errorf("wire: ToJSON: unsupported type %T", msg)
 	}
@@ -72,18 +68,6 @@ func FrameToJSON(data []byte) ([]byte, error) {
 		return ToJSON(m)
 	case TypeGrievance:
 		m, _, err := DecodeGrievance(data)
-		if err != nil {
-			return nil, err
-		}
-		return ToJSON(m)
-	case TypeBidBatch:
-		m, _, err := DecodeBidBatch(data)
-		if err != nil {
-			return nil, err
-		}
-		return ToJSON(m)
-	case TypeBillBatch:
-		m, _, err := DecodeBillBatch(data)
 		if err != nil {
 			return nil, err
 		}

@@ -44,8 +44,7 @@ const (
 	TypeLoad      MsgType = 0x03 // Phase III load transfer
 	TypeBill      MsgType = 0x04 // Phase IV itemized bill + proof bundle
 	TypeGrievance MsgType = 0x05 // Phase III overload accusation bundle
-	TypeBidBatch  MsgType = 0x06 // sharded Phase I aggregate (one shard's bids)
-	TypeBillBatch MsgType = 0x07 // sharded Phase IV aggregate (one shard's bills)
+	// 0x06 and 0x07 are reserved (retired batch frames): never reuse them.
 
 	TypeLedgerRecord MsgType = 0x20 // evidence-ledger DAG node envelope
 	TypeDetection    MsgType = 0x21 // one arbitration outcome as a fine artifact
@@ -64,10 +63,6 @@ func (t MsgType) String() string {
 		return "bill"
 	case TypeGrievance:
 		return "grievance"
-	case TypeBidBatch:
-		return "bid-batch"
-	case TypeBillBatch:
-		return "bill-batch"
 	case TypeHello:
 		return "hello"
 	case TypeHelloAck:

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -102,10 +103,6 @@ func encodeAny(t *testing.T, msg interface{}) []byte {
 		return AppendBill(nil, m)
 	case Grievance:
 		return AppendGrievance(nil, m)
-	case BidBatch:
-		return AppendBidBatch(nil, m)
-	case BillBatch:
-		return AppendBillBatch(nil, m)
 	case Hello:
 		return AppendHello(nil, m)
 	case HelloAck:
@@ -147,10 +144,6 @@ func decodeAny(t *testing.T, data []byte) (interface{}, int, error) {
 		return firstErr(DecodeBill(data))
 	case TypeGrievance:
 		return firstErr(DecodeGrievance(data))
-	case TypeBidBatch:
-		return firstErr(DecodeBidBatch(data))
-	case TypeBillBatch:
-		return firstErr(DecodeBillBatch(data))
 	case TypeHello:
 		return firstErr(DecodeHello(data))
 	case TypeHelloAck:
@@ -187,10 +180,6 @@ func allSamples() []interface{} {
 		sampleBill(),
 		Bill{From: 0, Proof: Proof{}}, // root's bill: no G, no successor
 		sampleGrievance(),
-		sampleBidBatch(),
-		BidBatch{Shard: 2}, // empty segment
-		sampleBillBatch(),
-		BillBatch{},
 		sampleHello(),
 		Hello{}, // empty tenant
 		HelloAck{SessionID: 42, Pooled: true},
@@ -283,10 +272,16 @@ func TestHeaderValidation(t *testing.T) {
 		t.Fatal("future version accepted")
 	}
 
-	bad = append([]byte(nil), frame...)
-	bad[4] = 0x7f
-	if _, err := Peek(bad); err == nil {
-		t.Fatal("unknown type accepted")
+	// 0x06 and 0x07 are the retired batch frames: reserved, so unknown.
+	for _, typ := range []byte{0x06, 0x07, 0x7f} {
+		bad = append([]byte(nil), frame...)
+		bad[4] = typ
+		if _, err := Peek(bad); !errors.Is(err, ErrBadType) {
+			t.Fatalf("Peek on type 0x%02x: %v, want ErrBadType", typ, err)
+		}
+		if _, _, err := ReadFrame(bytes.NewReader(bad), nil, 0); !errors.Is(err, ErrBadType) {
+			t.Fatalf("ReadFrame on type 0x%02x: %v, want ErrBadType", typ, err)
+		}
 	}
 
 	// Decoding as the wrong type must fail cleanly.
