@@ -542,21 +542,22 @@ func ledgerBenchmarks(seed uint64, benchtime time.Duration) []microResult {
 	})
 
 	// openStore provisions a store with one session and one open round, and
-	// returns it with the round-open hash every appended record hangs off.
-	openStore := func(be ledger.Backend) (*ledger.Store, uint64, ledger.Hash) {
+	// returns it with the parent set every appended record hangs off: the
+	// round-open hash.
+	openStore := func(be ledger.Backend) (*ledger.Store, uint64, []ledger.Hash) {
 		st, err := ledger.Open(be, nil)
 		must(err)
 		sl, err := st.OpenSession(wire.Hello{Tenant: "bench", Size: 2, Seed: seed})
 		must(err)
 		_, err = sl.OpenRound(wire.Round{Seq: 1, Seed: seed})
 		must(err)
-		return st, sl.ID(), st.Session(sl.ID()).Gens[0].Open
+		return st, sl.ID(), []ledger.Hash{st.Session(sl.ID()).Gens[0].Open}
 	}
-	appendOnce := func(st *ledger.Store, session uint64, open ledger.Hash, slot *int) {
+	appendOnce := func(st *ledger.Store, session uint64, parents []ledger.Hash, slot *int) {
 		*slot++ // fresh conflict key per iteration: Put dedups identical records
 		_, _, err := st.Put(ledger.Record{
 			Kind: ledger.KindBid, Session: session, Gen: 1, Slot: *slot,
-			Parents: []ledger.Hash{open}, Payload: payload,
+			Parents: parents, Payload: payload,
 		})
 		must(err)
 	}
@@ -564,9 +565,9 @@ func ledgerBenchmarks(seed uint64, benchtime time.Duration) []microResult {
 	var out []microResult
 
 	{
-		st, id, open := openStore(ledger.NewMemBackend())
+		st, id, parents := openStore(ledger.NewMemBackend())
 		slot := 0
-		ns, b, allocs := measure(benchtime, func() { appendOnce(st, id, open, &slot) })
+		ns, b, allocs := measure(benchtime, func() { appendOnce(st, id, parents, &slot) })
 		out = append(out, microResult{Op: "ledger_append_mem", NsPerOp: ns, BPerOp: b, AllocsPerOp: allocs})
 	}
 
@@ -575,13 +576,13 @@ func ledgerBenchmarks(seed uint64, benchtime time.Duration) []microResult {
 	defer os.RemoveAll(dir)
 	be, err := ledger.OpenFile(dir, 0)
 	must(err)
-	st, id, open := openStore(be)
+	st, id, parents := openStore(be)
 	defer st.Close()
 	slot := 0
-	ns, b, allocs := measure(benchtime, func() { appendOnce(st, id, open, &slot) })
+	ns, b, allocs := measure(benchtime, func() { appendOnce(st, id, parents, &slot) })
 	out = append(out, microResult{Op: "ledger_append_file", NsPerOp: ns, BPerOp: b, AllocsPerOp: allocs})
 	ns, b, allocs = measure(benchtime, func() {
-		appendOnce(st, id, open, &slot)
+		appendOnce(st, id, parents, &slot)
 		must(st.Sync())
 	})
 	out = append(out, microResult{Op: "ledger_append_fsync", NsPerOp: ns, BPerOp: b, AllocsPerOp: allocs})

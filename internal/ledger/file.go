@@ -20,12 +20,17 @@ import (
 //	u32 frame length | frame bytes | 32-byte SHA-256 of the frame
 //
 // records. An in-memory hash→offset index built at open serves Get with one
-// pread; Put appends to the active segment and rolls to a new file past
+// pread. Put assigns each record its final offset in the active segment but
+// only appends it to an in-memory tail; the tail reaches the file in one
+// write, in append order, at the next Sync (before its fsync), segment roll,
+// Scan or Close, or when it would pass tailMax. The file is therefore always
+// a record-aligned prefix of the append sequence, and a Get of a record
+// still in the tail is served from memory. Put rolls to a new file past
 // SegmentSize. Sync fsyncs the active segment (segment creation fsyncs the
 // directory), which is the durability point the daemon's fsync-before-ack
-// invariant rests on. The first failed fsync is sticky: every later Put and
-// Sync returns it until the log is reopened, because a retried fsync can
-// report success for pages the kernel already dropped.
+// invariant rests on. The first failed tail write or fsync is sticky: every
+// later Put and Sync returns it until the log is reopened, because a
+// retried fsync can report success for pages the kernel already dropped.
 //
 // Crash tolerance at open: a torn record at the tail of the LAST segment —
 // the footprint of a crash mid-append — is truncated away and appending
@@ -41,8 +46,9 @@ type FileBackend struct {
 	index    map[Hash]recLoc
 	order    []Hash
 	dirty    bool
+	tail     []byte // records appended to the active segment but not yet written, reused
 	writeGen uint64 // bumped per Put; lets Sync clear dirty without holding the lock through the fsync
-	syncErr  error  // first fsync failure, sticky until reopen
+	syncErr  error  // first failed tail write or fsync, sticky until reopen
 	closed   bool
 }
 
@@ -73,6 +79,10 @@ const maxFrameLen = 1 << 30
 // readBufSize is the read-ahead of one sequential segment pass.
 const readBufSize = 1 << 20
 
+// tailMax bounds the unwritten tail: a Put that would grow it past tailMax
+// writes it out first.
+const tailMax = 1 << 20
+
 // OpenFile opens (creating if needed) the segment log in dir. segSize <= 0
 // means DefaultSegmentSize.
 func OpenFile(dir string, segSize int64) (*FileBackend, error) {
@@ -91,19 +101,16 @@ func OpenFile(dir string, segSize int64) (*FileBackend, error) {
 	for _, name := range names {
 		f, err := os.OpenFile(name, os.O_RDWR, 0o644)
 		if err != nil {
-			b.closeAll()
-			return nil, err
+			return nil, errors.Join(err, b.closeAll())
 		}
 		b.segs = append(b.segs, segment{f: f})
 	}
 	if err := b.loadAll(names); err != nil {
-		b.closeAll()
-		return nil, err
+		return nil, errors.Join(err, b.closeAll())
 	}
 	if len(b.segs) == 0 {
 		if err := b.rollLocked(); err != nil {
-			b.closeAll()
-			return nil, err
+			return nil, errors.Join(err, b.closeAll())
 		}
 	}
 	return b, nil
@@ -256,11 +263,15 @@ func (b *FileBackend) segName(i int) string {
 	return filepath.Join(b.dir, fmt.Sprintf("%08d.seg", i))
 }
 
-// rollLocked fsyncs and retires the active segment and starts the next one.
-// A failed roll removes the file it created; a failed fsync (of the old
-// segment, or of the directory entry of the new one) is sticky.
+// rollLocked writes the tail into the active segment, fsyncs and retires
+// it, and starts the next one. A failed roll removes the file it created; a
+// failed tail write or fsync (of the old segment, or of the directory entry
+// of the new one) is sticky.
 func (b *FileBackend) rollLocked() error {
 	if n := len(b.segs); n > 0 {
+		if err := b.writeTailLocked(); err != nil {
+			return err
+		}
 		if err := b.segs[n-1].f.Sync(); err != nil {
 			b.syncErr = err
 			return err
@@ -295,7 +306,7 @@ func writeSegmentHeader(f *os.File, dir string) error {
 	return d.Close()
 }
 
-// Put appends one record to the active segment.
+// Put appends one record to the active segment's tail.
 func (b *FileBackend) Put(h Hash, frame []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -313,24 +324,44 @@ func (b *FileBackend) Put(h Hash, frame []byte) error {
 			return err
 		}
 	}
+	n := 4 + len(frame) + wire32
+	if len(b.tail) > 0 && len(b.tail)+n > tailMax {
+		if err := b.writeTailLocked(); err != nil {
+			return err
+		}
+	}
 	seg := len(b.segs) - 1
 	active := &b.segs[seg]
-	buf := make([]byte, 0, 4+len(frame)+wire32)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(frame)))
-	buf = append(buf, frame...)
-	buf = append(buf, h[:]...)
-	if _, err := active.f.WriteAt(buf, active.size); err != nil {
-		return err
-	}
+	b.tail = binary.LittleEndian.AppendUint32(b.tail, uint32(len(frame)))
+	b.tail = append(b.tail, frame...)
+	b.tail = append(b.tail, h[:]...)
 	b.index[h] = recLoc{seg: seg, off: active.size + 4, n: len(frame)}
 	b.order = append(b.order, h)
-	active.size += int64(len(buf))
+	active.size += int64(n)
 	b.dirty = true
 	b.writeGen++
 	return nil
 }
 
-// Get preads the envelope for h. The lock covers only the index lookup.
+// writeTailLocked writes the tail at the end of the active segment's file
+// with one write. A failure is sticky: the file may now end in a torn
+// record, and the records in the tail are not on disk.
+func (b *FileBackend) writeTailLocked() error {
+	if len(b.tail) == 0 {
+		return nil
+	}
+	active := b.segs[len(b.segs)-1]
+	if _, err := active.f.WriteAt(b.tail, active.size-int64(len(b.tail))); err != nil {
+		b.syncErr = err
+		return err
+	}
+	b.tail = b.tail[:0]
+	return nil
+}
+
+// Get returns the envelope for h: a copy from the tail if it is not yet
+// written, else one pread. The lock covers only the index lookup (and the
+// tail copy).
 func (b *FileBackend) Get(h Hash) ([]byte, error) {
 	b.mu.Lock()
 	if b.closed {
@@ -342,23 +373,32 @@ func (b *FileBackend) Get(h Hash) ([]byte, error) {
 		b.mu.Unlock()
 		return nil, fmt.Errorf("ledger: record %s not found", h.Short())
 	}
-	f := b.segs[loc.seg].f
+	sg := b.segs[loc.seg]
+	if at := loc.off - (sg.size - int64(len(b.tail))); loc.seg == len(b.segs)-1 && at >= 0 {
+		frame := append([]byte(nil), b.tail[at:at+int64(loc.n)]...)
+		b.mu.Unlock()
+		return frame, nil
+	}
 	b.mu.Unlock()
 	frame := make([]byte, loc.n)
-	if _, err := f.ReadAt(frame, loc.off); err != nil {
+	if _, err := sg.f.ReadAt(frame, loc.off); err != nil {
 		return nil, err
 	}
 	return frame, nil
 }
 
-// Scan visits every record in append order (first occurrence of each
-// address), reading the segments front to back. The frame passed to fn is
-// only valid until fn returns.
+// Scan writes the tail, then visits every record in append order (first
+// occurrence of each address), reading the segments front to back. The
+// frame passed to fn is only valid until fn returns.
 func (b *FileBackend) Scan(fn func(h Hash, frame []byte) error) error {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return fmt.Errorf("ledger: backend closed")
+	}
+	if err := b.writeTailLocked(); err != nil {
+		b.mu.Unlock()
+		return err
 	}
 	segs := append([]segment(nil), b.segs...)
 	order := b.order[:len(b.order):len(b.order)]
@@ -384,12 +424,14 @@ func (b *FileBackend) Scan(fn func(h Hash, frame []byte) error) error {
 	return nil
 }
 
-// Sync fsyncs the active segment. The fsync itself runs outside the backend
-// lock: Sync is the settle-path durability barrier, and a pipelined stream
-// appends the next load's evidence while the previous load's settle syncs —
-// holding the lock through a multi-millisecond fsync would serialize the
-// two. A Put racing the fsync is at worst additionally durable; dirty is
-// only cleared when no Put landed while the fsync ran.
+// Sync writes the tail and fsyncs the active segment. The write holds the
+// backend lock, so the file stays a prefix of the append order; the fsync
+// itself runs outside it: Sync is the settle-path durability barrier, and a
+// pipelined stream appends the next load's evidence while the previous
+// load's settle syncs — holding the lock through a multi-millisecond fsync
+// would serialize the two. A Put racing the fsync lands in the tail for the
+// next barrier; dirty is only cleared when no Put landed while the fsync
+// ran.
 func (b *FileBackend) Sync() error {
 	b.mu.Lock()
 	if b.closed {
@@ -399,6 +441,10 @@ func (b *FileBackend) Sync() error {
 	if b.syncErr != nil || !b.dirty {
 		b.mu.Unlock()
 		return b.syncErr
+	}
+	if err := b.writeTailLocked(); err != nil {
+		b.mu.Unlock()
+		return err
 	}
 	f := b.segs[len(b.segs)-1].f
 	gen := b.writeGen
@@ -420,8 +466,10 @@ func (b *FileBackend) Sync() error {
 	return nil
 }
 
-// Close fsyncs and releases every segment handle. A backend with a sticky
-// fsync failure returns it instead of fsyncing again.
+// Close writes the tail, fsyncs, and releases every segment handle. A
+// backend with a sticky failure returns it instead of writing or fsyncing
+// again; otherwise the first error of the write, the fsync and the handle
+// closes is returned.
 func (b *FileBackend) Close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -430,18 +478,28 @@ func (b *FileBackend) Close() error {
 	}
 	first := b.syncErr
 	if first == nil && b.dirty {
-		first = b.segs[len(b.segs)-1].f.Sync()
+		first = b.writeTailLocked()
+		if first == nil {
+			first = b.segs[len(b.segs)-1].f.Sync()
+		}
 	}
-	b.closeAll()
+	if err := b.closeAll(); first == nil {
+		first = err
+	}
 	b.closed = true
 	return first
 }
 
-func (b *FileBackend) closeAll() {
+// closeAll closes every segment handle and returns the first close error.
+func (b *FileBackend) closeAll() error {
+	var first error
 	for _, sg := range b.segs {
-		_ = sg.f.Close()
+		if err := sg.f.Close(); err != nil && first == nil {
+			first = err
+		}
 	}
 	b.segs = nil
+	return first
 }
 
 // Len reports the number of indexed records.

@@ -22,10 +22,12 @@
 //
 // Storage is pluggable via Backend: MemBackend for tests, FileBackend
 // (append-only segment log with an index) for the daemon. Records are
-// always appended parents-first, so a crash that truncates the log tail can
-// only ever lose a suffix of one round — never orphan an interior record —
-// which is what makes crash→reload→resume sound (see internal/server's
-// recovery).
+// always appended parents-first, and the FileBackend's file is always a
+// prefix of the append order, so a crash that truncates the log tail loses
+// only records appended since the last Sync — the unacknowledged evidence
+// of the rounds then in flight, possibly several of them, possibly their
+// round-open records too — and never orphans an interior record. That is
+// what makes crash→reload→resume sound (see internal/server's recovery).
 package ledger
 
 import (
@@ -88,20 +90,7 @@ type Record struct {
 
 // appendRecord encodes the envelope into dst.
 func appendRecord(dst []byte, rec Record) []byte {
-	lr := wire.LedgerRecord{
-		Kind:    uint8(rec.Kind),
-		Session: rec.Session,
-		Gen:     rec.Gen,
-		Slot:    rec.Slot,
-		Payload: rec.Payload,
-	}
-	if len(rec.Parents) > 0 {
-		lr.Parents = make([][wire.HashSize]byte, len(rec.Parents))
-		for i, p := range rec.Parents {
-			lr.Parents[i] = p
-		}
-	}
-	return wire.AppendLedgerRecord(dst, lr)
+	return wire.AppendLedgerEnvelope(dst, uint8(rec.Kind), rec.Session, rec.Gen, rec.Slot, rec.Parents, rec.Payload)
 }
 
 // decodeRecord parses one encoded envelope.

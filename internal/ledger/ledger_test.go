@@ -816,3 +816,50 @@ func TestGroupCommitDeferredClose(t *testing.T) {
 		t.Fatalf("VerifySession after reopen: %v", got)
 	}
 }
+
+// TestRecordZeroAlloc: recording a bid, a load receipt or a bill into a warm
+// RoundLog over a FileBackend makes no allocation per call, amortised over
+// the map and slice growth that distinct records cause.
+func TestRecordZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run without -race for the allocation contract")
+	}
+	be, err := OpenFile(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(be, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sl, err := st.OpenSession(wire.Hello{Tenant: "t0", Size: 4, Seed: testSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rl, err := sl.OpenRound(wire.Round{Seq: 1, Seed: testSeed, W: []float64{1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sg := sign.NewSigner(1, testSeed).Sign([]byte("bid"))
+	bill := wire.Bill{Compensation: 2.5, Proof: wire.Proof{OwnBid: sg}}
+	slot := 0 // a fresh slot per call: a repeated record would only dedup
+	for _, c := range []struct {
+		name   string
+		record func()
+	}{
+		{"bid", func() { slot++; rl.RecordBid(slot, sg) }},
+		{"load-ack", func() { slot++; rl.RecordLoadAck(slot, wire.Load{Amount: float64(slot)}) }},
+		{"bill", func() { slot++; bill.From = slot; rl.RecordBill(bill) }},
+	} {
+		for i := 0; i < 100; i++ {
+			c.record()
+		}
+		if allocs := testing.AllocsPerRun(2000, c.record); allocs != 0 {
+			t.Errorf("Record %s: %v allocations per call, want 0", c.name, allocs)
+		}
+	}
+	if err := rl.Err(); err != nil {
+		t.Fatal(err)
+	}
+}

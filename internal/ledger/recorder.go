@@ -1,8 +1,9 @@
 package ledger
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"dlsmech/internal/sign"
@@ -57,6 +58,7 @@ type RoundLog struct {
 	mu      sync.Mutex
 	gen     uint64
 	open    Hash
+	up      []Hash // {open}: every artifact's parent set
 	seq     uint64
 	seen    map[Hash]struct{}
 	arts    []Hash
@@ -67,8 +69,10 @@ type RoundLog struct {
 
 // OpenRound appends the next generation's opening record, parented on the
 // session's current tip, and returns its recorder. The open record is
-// persisted (not yet fsynced) before the round runs, so a crash mid-round
-// leaves a durable mark of what was being attempted.
+// appended before the round runs and reaches the disk with the round's
+// other evidence at the next barrier: a crash mid-round leaves a mark of
+// what was being attempted if a barrier ran in between, and otherwise no
+// trace of a round no client saw settle.
 func (sl *SessionLog) OpenRound(rq wire.Round) (*RoundLog, error) {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
@@ -111,6 +115,7 @@ func (sl *SessionLog) newRoundLog(gen uint64, open Hash, seq uint64, preload []H
 		sl:   sl,
 		gen:  gen,
 		open: open,
+		up:   []Hash{open},
 		seq:  seq,
 		seen: make(map[Hash]struct{}),
 	}
@@ -141,7 +146,7 @@ func (rl *RoundLog) put(kind Kind, slot int, payload []byte) {
 		Session: rl.sl.id,
 		Gen:     rl.gen,
 		Slot:    slot,
-		Parents: []Hash{rl.open},
+		Parents: rl.up,
 		Payload: payload,
 	})
 	if err != nil {
@@ -200,16 +205,9 @@ func (rl *RoundLog) RecordBill(b wire.Bill) {
 // (insertion order is scheduling-dependent; the sort makes the close record
 // reproducible). Callers hold rl.mu.
 func (rl *RoundLog) closeParents() []Hash {
-	arts := append([]Hash(nil), rl.arts...)
-	sort.Slice(arts, func(i, j int) bool {
-		for b := 0; b < len(arts[i]); b++ {
-			if arts[i][b] != arts[j][b] {
-				return arts[i][b] < arts[j][b]
-			}
-		}
-		return false
-	})
-	return append([]Hash{rl.open}, arts...)
+	ps := append(append(make([]Hash, 0, 1+len(rl.arts)), rl.open), rl.arts...)
+	slices.SortFunc(ps[1:], func(a, b Hash) int { return bytes.Compare(a[:], b[:]) })
+	return ps
 }
 
 // Close appends the round's fine artifacts and its settle record — whose

@@ -87,8 +87,11 @@ type Store struct {
 	issues      []Issue
 	sessions    map[uint64]*SessionView
 	nextSession uint64
-	enc         []byte // envelope scratch, reused under mu
 }
+
+// encBufs pools the envelope scratch Put encodes and hashes into before it
+// takes the store lock.
+var encBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Open wires every record the backend holds. It fails hard only on
 // unreadable storage (I/O errors, digest mismatches, undecodable frames);
@@ -124,29 +127,40 @@ func Open(be Backend, met *Metrics) (*Store, error) {
 // Unknown parents are an error on the live path — the recorder always
 // appends parents first. A conflict-key collision is NOT an error: the fork
 // is recorded and the challenger persisted, because divergent evidence must
-// survive to be audited.
+// survive to be audited. Encoding and hashing run before the store lock is
+// taken; the lock covers the checks, the backend append and the wiring.
 func (s *Store) Put(rec Record) (Hash, bool, error) {
+	buf := encBufs.Get().(*[]byte)
+	enc := appendRecord((*buf)[:0], rec)
+	h := hashFrame(enc)
+	dup, err := s.putEncoded(h, enc, rec)
+	if err == nil && !dup && s.met != nil {
+		s.met.Appends.Inc()
+		s.met.AppendBytes.Add(int64(len(enc)))
+	}
+	*buf = enc
+	encBufs.Put(buf)
+	return h, dup, err
+}
+
+// putEncoded is Put's locked section for the envelope enc of rec at h.
+func (s *Store) putEncoded(h Hash, enc []byte, rec Record) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.enc = appendRecord(s.enc[:0], rec)
-	h := hashFrame(s.enc)
 	if _, ok := s.known[h]; ok {
-		return h, true, nil
+		return true, nil
 	}
 	for _, p := range rec.Parents {
 		if _, ok := s.known[p]; !ok {
-			return h, false, fmt.Errorf("ledger: %s record references unknown parent %s", rec.Kind, p.Short())
+			return false, fmt.Errorf("ledger: %s record references unknown parent %s", rec.Kind, p.Short())
 		}
 	}
-	if err := s.be.Put(h, s.enc); err != nil {
-		return h, false, err
+	if err := s.be.Put(h, enc); err != nil {
+		return false, err
 	}
-	if s.met != nil {
-		s.met.Appends.Inc()
-		s.met.AppendBytes.Add(int64(len(s.enc)))
-	}
-	s.ingestLocked(h, rec)
-	return h, false, nil
+	s.known[h] = struct{}{}
+	s.wireLocked(h, rec)
+	return false, nil
 }
 
 // Sync flushes the backend; the durability point of everything Put so far.
@@ -241,8 +255,8 @@ func (s *Store) issue(code string, rec Record, h Hash, format string, args ...an
 	})
 }
 
-// ingestLocked wires one (already persisted) record into the views. The
-// open-time scan and the live append path apply identical rules.
+// ingestLocked wires one record found by the open-time scan, recording a
+// missing-parent issue for each parent not seen before it.
 func (s *Store) ingestLocked(h Hash, rec Record) {
 	if _, ok := s.known[h]; ok {
 		return
@@ -253,6 +267,12 @@ func (s *Store) ingestLocked(h Hash, rec Record) {
 			s.issue("missing-parent", rec, h, "parent %s is not in the log", p.Short())
 		}
 	}
+	s.wireLocked(h, rec)
+}
+
+// wireLocked wires one known, persisted record into the views. The
+// open-time scan and the live append path apply identical rules.
+func (s *Store) wireLocked(h Hash, rec Record) {
 	k := conflictKey{rec.Session, rec.Gen, rec.Slot, rec.Kind}
 	if prev, ok := s.byKey[k]; ok {
 		s.forks = append(s.forks, Fork{

@@ -32,17 +32,25 @@ type LedgerRecord struct {
 
 // AppendLedgerRecord appends the framed envelope to dst.
 func AppendLedgerRecord(dst []byte, lr LedgerRecord) []byte {
+	return AppendLedgerEnvelope(dst, lr.Kind, lr.Session, lr.Gen, lr.Slot, lr.Parents, lr.Payload)
+}
+
+// AppendLedgerEnvelope appends the framed envelope of the given fields to
+// dst: the bytes AppendLedgerRecord writes, for callers whose parent
+// addresses are a named hash type, without copying them into a LedgerRecord.
+func AppendLedgerEnvelope[H ~[HashSize]byte](dst []byte, kind uint8, session, gen uint64, slot int, parents []H, payload []byte) []byte {
 	dst, lenAt := appendHeader(dst, TypeLedgerRecord)
-	dst = append(dst, lr.Kind)
-	dst = binary.LittleEndian.AppendUint64(dst, lr.Session)
-	dst = binary.LittleEndian.AppendUint64(dst, lr.Gen)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(lr.Slot)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(lr.Parents)))
-	for i := range lr.Parents {
-		dst = append(dst, lr.Parents[i][:]...)
+	dst = append(dst, kind)
+	dst = binary.LittleEndian.AppendUint64(dst, session)
+	dst = binary.LittleEndian.AppendUint64(dst, gen)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(slot)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(parents)))
+	for _, p := range parents {
+		h := [HashSize]byte(p)
+		dst = append(dst, h[:]...)
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(lr.Payload)))
-	dst = append(dst, lr.Payload...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = append(dst, payload...)
 	return patchLength(dst, lenAt)
 }
 
