@@ -60,17 +60,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	be, err := ledger.OpenFile(*dir, 0)
-	if err != nil {
-		log.Printf("ledger storage: %v", err)
-		os.Exit(2)
-	}
-	defer be.Close()
-	st, err := ledger.Open(be, nil)
+	st, err := ledger.OpenDir(*dir, 0, nil)
 	if err != nil {
 		log.Printf("ledger: %v", err)
 		os.Exit(2)
 	}
+	defer st.Close()
 
 	rep, err := server.AuditLedger(st, server.AuditOptions{
 		Strict:          !*lenient,

@@ -52,21 +52,20 @@ func main() {
 
 	reg := obs.NewRegistry()
 	var store *ledger.Store
-	var stages []any // recovery log arguments: counts, then stage wall times
+	var records, sessions int // the ledger at open
+	var opened time.Duration  // reading, digest-checking and wiring it
 	if *ledgerDir != "" {
 		t0 := time.Now()
-		be, err := ledger.OpenFile(*ledgerDir, 0)
-		if err != nil {
-			log.Fatalf("ledger storage %s: %v", *ledgerDir, err)
-		}
-		t1 := time.Now()
-		store, err = ledger.Open(be, ledger.NewMetrics(reg, "dlsd"))
+		var err error
+		store, err = ledger.OpenDir(*ledgerDir, 0, ledger.NewMetrics(reg, "dlsd"))
 		if err != nil {
 			log.Fatalf("ledger %s: %v", *ledgerDir, err)
 		}
 		defer store.Close()
 		log.Printf("evidence ledger at %s", *ledgerDir)
-		stages = []any{be.Len(), len(store.Sessions()), t1.Sub(t0).Round(time.Millisecond), time.Since(t1).Round(time.Millisecond)}
+		opened = time.Since(t0).Round(time.Millisecond)
+		records, _ = store.Live()
+		sessions = len(store.Sessions())
 	}
 	t2 := time.Now()
 	s, err := server.Listen(server.Config{
@@ -87,9 +86,11 @@ func main() {
 		log.Fatal(err)
 	}
 	if store != nil {
-		// Listen ran crash recovery (verify + replay) before binding.
-		log.Printf("recovery: %d records, %d sessions; storage index %v, DAG wiring %v, verify+replay %v",
-			append(stages, time.Since(t2).Round(time.Millisecond))...)
+		// Listen ran crash recovery (verify + replay) before binding, and
+		// forgot every generation it replayed.
+		live, _ := store.Live()
+		log.Printf("recovery: %d records, %d sessions, %d live records; open %v, verify+replay %v",
+			records, sessions, live, opened, time.Since(t2).Round(time.Millisecond))
 	}
 
 	if *metricsAddr != "" {

@@ -9,22 +9,34 @@ import (
 // idempotent. The Store above it owns all DAG semantics; a backend only
 // moves bytes.
 type Backend interface {
-	// Put appends one encoded envelope under its content address. A hash
-	// already present is a no-op. The frame is copied (or written out)
-	// before Put returns; callers may reuse the buffer.
+	// Put appends one encoded envelope under its content address h, the
+	// SHA-256 of frame. A hash already present is a no-op. The frame is
+	// copied (or written out) before Put returns; callers may reuse the
+	// buffer.
 	Put(h Hash, frame []byte) error
 	// Get returns the encoded envelope for h.
 	Get(h Hash) ([]byte, error)
-	// Scan streams every stored envelope in append order. The frame may be
-	// reused once fn returns.
+	// Scan streams every stored envelope not forgotten, in append order,
+	// each address once (its first occurrence). Every frame matches its
+	// address: the backend has checked it, so callers need not hash. The
+	// frame may be reused once fn returns.
 	Scan(fn func(h Hash, frame []byte) error) error
+	// Forget drops the backend's in-memory handles on hs: Get and Scan may
+	// no longer find them. The records stay stored, and a backend opened
+	// over the same storage finds them again.
+	Forget(hs []Hash)
+	// Retain is Forget of every record not in keep, which it reads only
+	// during the call.
+	Retain(keep map[Hash]struct{})
 	// Sync makes every previous Put durable. A no-op for volatile backends.
 	Sync() error
 	// Close releases resources. Put/Get/Scan/Sync after Close error.
 	Close() error
 }
 
-// MemBackend is the volatile backend for tests and ephemeral sessions.
+// MemBackend is the volatile backend for tests and ephemeral sessions. Its
+// frames are its storage, so it forgets nothing: a store opened over it
+// again sees every record.
 type MemBackend struct {
 	mu     sync.RWMutex
 	frames map[Hash][]byte
@@ -66,7 +78,8 @@ func (b *MemBackend) Get(h Hash) ([]byte, error) {
 	return frame, nil
 }
 
-// Scan visits every envelope in append order.
+// Scan visits every envelope in append order, hashing each one to honour
+// the Backend contract.
 func (b *MemBackend) Scan(fn func(h Hash, frame []byte) error) error {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -74,12 +87,22 @@ func (b *MemBackend) Scan(fn func(h Hash, frame []byte) error) error {
 		return fmt.Errorf("ledger: backend closed")
 	}
 	for _, h := range b.order {
-		if err := fn(h, b.frames[h]); err != nil {
+		frame := b.frames[h]
+		if hashFrame(frame) != h {
+			return fmt.Errorf("ledger: record %s: content does not match its address", h.Short())
+		}
+		if err := fn(h, frame); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// Forget is a no-op: the frames are the storage.
+func (b *MemBackend) Forget([]Hash) {}
+
+// Retain is a no-op, as Forget.
+func (b *MemBackend) Retain(map[Hash]struct{}) {}
 
 // Sync is a no-op: memory is as durable as it gets.
 func (b *MemBackend) Sync() error { return nil }

@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 )
@@ -20,17 +19,19 @@ import (
 //	u32 frame length | frame bytes | 32-byte SHA-256 of the frame
 //
 // records. An in-memory hash→offset index built at open serves Get with one
-// pread. Put assigns each record its final offset in the active segment but
-// only appends it to an in-memory tail; the tail reaches the file in one
-// write, in append order, at the next Sync (before its fsync), segment roll,
-// Scan or Close, or when it would pass tailMax. The file is therefore always
-// a record-aligned prefix of the append sequence, and a Get of a record
-// still in the tail is served from memory. Put rolls to a new file past
-// SegmentSize. Sync fsyncs the active segment (segment creation fsyncs the
-// directory), which is the durability point the daemon's fsync-before-ack
-// invariant rests on. The first failed tail write or fsync is sticky: every
-// later Put and Sync returns it until the log is reopened, because a
-// retried fsync can report success for pages the kernel already dropped.
+// pread; Forget and Retain drop entries from it, and the records they name
+// stay in the files for the next open to index. Put assigns each record its
+// final offset in the active segment but only appends it to an in-memory
+// tail; the tail reaches the file in one write, in append order, at the next
+// Sync (before its fsync), segment roll, Scan or Close, or when it would
+// pass tailMax. The file is therefore always a record-aligned prefix of the
+// append sequence, and a Get of a record still in the tail is served from
+// memory. Put rolls to a new file past SegmentSize. Sync fsyncs the active
+// segment (segment creation fsyncs the directory), which is the durability
+// point the daemon's fsync-before-ack invariant rests on. The first failed
+// tail write or fsync is sticky: every later Put and Sync returns it until
+// the log is reopened, because a retried fsync can report success for pages
+// the kernel already dropped.
 //
 // Crash tolerance at open: a torn record at the tail of the LAST segment —
 // the footprint of a crash mid-append — is truncated away and appending
@@ -42,9 +43,8 @@ type FileBackend struct {
 	mu       sync.Mutex
 	dir      string
 	segSize  int64
-	segs     []segment // ordinal order; last is the active segment
-	index    map[Hash]recLoc
-	order    []Hash
+	segs     []segment       // ordinal order; last is the active segment
+	index    map[Hash]recLoc // records not forgotten, at their first occurrence
 	dirty    bool
 	tail     []byte // records appended to the active segment but not yet written, reused
 	writeGen uint64 // bumped per Put; lets Sync clear dirty without holding the lock through the fsync
@@ -86,6 +86,12 @@ const tailMax = 1 << 20
 // OpenFile opens (creating if needed) the segment log in dir. segSize <= 0
 // means DefaultSegmentSize.
 func OpenFile(dir string, segSize int64) (*FileBackend, error) {
+	return openFile(dir, segSize, nil)
+}
+
+// openFile is OpenFile that also hands visit, if not nil, every record it
+// indexes, in append order, as it indexes it (see loadAll).
+func openFile(dir string, segSize int64, visit func(h Hash, frame []byte) error) (*FileBackend, error) {
 	if segSize <= 0 {
 		segSize = DefaultSegmentSize
 	}
@@ -105,7 +111,7 @@ func OpenFile(dir string, segSize int64) (*FileBackend, error) {
 		}
 		b.segs = append(b.segs, segment{f: f})
 	}
-	if err := b.loadAll(names); err != nil {
+	if err := b.loadAll(names, visit); err != nil {
 		return nil, errors.Join(err, b.closeAll())
 	}
 	if len(b.segs) == 0 {
@@ -122,70 +128,127 @@ type segRec struct {
 	loc recLoc
 }
 
-// loadAll indexes every segment. Sealed segments are read and
-// digest-checked concurrently, at most GOMAXPROCS at a time, then merged in
-// segment order: the first occurrence of a record wins and the
-// lowest-numbered damaged segment is the one reported. The final segment,
-// the only one a crash can tear, is loaded last, over intact sealed ones.
-func (b *FileBackend) loadAll(names []string) error {
-	recs := make([][]segRec, len(names))
-	errs := make([]error, len(names))
-	load := func(i int) {
-		recs[i], b.segs[i].size, errs[i] = loadSegment(b.dir, i, b.segs[i].f, i == len(names)-1)
-	}
+// loadChunk is a run of whole records of one segment, read and
+// digest-checked: their frames back to back in data, in file order.
+type loadChunk struct {
+	data []byte
+	recs []segRec
+}
+
+// segLoad is one segment's pass at open: its chunks, then, once chunks is
+// closed, the segment's valid length or the error that ended the pass.
+type segLoad struct {
+	chunks chan *loadChunk
+	size   int64
+	err    error
+}
+
+const (
+	// loadAhead is how many segments an open reads at once: the one being
+	// indexed and the next, read and digest-checked ahead of it.
+	loadAhead = 2
+	// chunkSize is the frame bytes a chunk gathers before it is handed on.
+	chunkSize = 1 << 20
+	// chunksAhead is how many chunks a segment's pass hands on ahead of
+	// the indexing before it waits.
+	chunksAhead = 2
+)
+
+// errStopped ends a segment pass the open no longer needs.
+var errStopped = errors.New("ledger: segment pass stopped")
+
+// loadAll indexes every segment in segment order, handing each first
+// occurrence of a record to visit, if not nil, with the frame its digest
+// was checked on: each record is read and hashed once. The next sealed
+// segment is read and digest-checked ahead of the indexing, concurrently,
+// so that hashing overlaps visit; what is held ahead is bounded by
+// loadAhead, chunksAhead and chunkSize, not by the log. The first
+// occurrence of a record wins and the lowest-numbered damaged segment is
+// the one reported. The final segment, the only one a crash can tear, is
+// read last, once every sealed one proved intact.
+func (b *FileBackend) loadAll(names []string, visit func(h Hash, frame []byte) error) error {
+	last := len(names) - 1
+	loads := make([]*segLoad, len(names))
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := 0; i < len(names)-1; i++ {
+	start := func(i int) {
+		sl := &segLoad{chunks: make(chan *loadChunk, chunksAhead)}
+		loads[i] = sl
 		wg.Add(1)
-		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
-			load(i)
-			<-sem
+			defer close(sl.chunks)
+			sl.size, sl.err = loadSegment(b.dir, i, b.segs[i].f, i == last, sl.chunks, stop)
 		}()
 	}
-	wg.Wait()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
 	for i := range names {
-		if i == len(names)-1 {
-			load(i)
-		}
-		if errs[i] != nil {
-			return fmt.Errorf("%s: %w", names[i], errs[i])
-		}
-		for _, r := range recs[i] {
-			if _, ok := b.index[r.h]; !ok {
-				b.index[r.h] = r.loc
-				b.order = append(b.order, r.h)
+		for j := i; j < min(i+loadAhead, last); j++ {
+			if loads[j] == nil {
+				start(j)
 			}
 		}
+		if i == last {
+			start(i)
+		}
+		sl := loads[i]
+		for c := range sl.chunks {
+			pos := 0
+			for _, r := range c.recs {
+				frame := c.data[pos : pos+r.loc.n]
+				pos += r.loc.n
+				if _, ok := b.index[r.h]; ok {
+					continue
+				}
+				b.index[r.h] = r.loc
+				if visit != nil {
+					if err := visit(r.h, frame); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		if sl.err != nil {
+			return fmt.Errorf("%s: %w", names[i], sl.err)
+		}
+		b.segs[i].size = sl.size
 	}
 	return nil
 }
 
-// loadSegment reads one segment front to back and digest-checks every
-// record, returning the intact records in file order and the segment's
-// valid length. A torn tail is truncated away iff last.
-func loadSegment(dir string, seg int, f *os.File, last bool) ([]segRec, int64, error) {
+// loadSegment reads one segment front to back, digest-checks every record
+// and hands the intact ones to out in chunks. It returns the segment's
+// valid length; a torn tail is truncated away iff last.
+func loadSegment(dir string, seg int, f *os.File, last bool, out chan<- *loadChunk, stop <-chan struct{}) (int64, error) {
 	info, err := f.Stat()
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	size := info.Size()
 	hdr := make([]byte, len(segMagic))
-	n, err := io.ReadFull(f, hdr)
-	if last && (err == io.EOF || err == io.ErrUnexpectedEOF) && bytes.Equal(hdr[:n], segMagic[:n]) {
+	n, err := f.ReadAt(hdr, 0)
+	if last && err == io.EOF && bytes.Equal(hdr[:n], segMagic[:n]) {
 		// A roll interrupted between creating the file and writing (or
 		// fsyncing) its magic: a torn tail holding no records. Finish the
 		// roll the crash cut short.
-		if err := writeSegmentHeader(f, dir); err != nil {
-			return nil, 0, err
-		}
-		return nil, int64(len(segMagic)), nil
+		return int64(len(segMagic)), writeSegmentHeader(f, dir)
 	}
 	if err != nil || !bytes.Equal(hdr, segMagic) {
-		return nil, 0, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
+		return 0, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
 	}
-	var recs []segRec
+	c := newChunk()
+	send := func() error {
+		select {
+		case out <- c:
+		case <-stop:
+			return errStopped
+		}
+		c = newChunk()
+		return nil
+	}
 	at, err := readRecords(f, size, func(at int64, frame []byte, digest Hash) error {
 		if hashFrame(frame) != digest {
 			// A complete-looking record with a bad digest at the very tail of
@@ -196,7 +259,13 @@ func loadSegment(dir string, seg int, f *os.File, last bool) ([]segRec, int64, e
 			}
 			return fmt.Errorf("%w: digest mismatch at offset %d", ErrCorrupt, at)
 		}
-		recs = append(recs, segRec{h: digest, loc: recLoc{seg: seg, off: at + 4, n: len(frame)}})
+		if len(c.data) > 0 && len(c.data)+len(frame) > chunkSize {
+			if err := send(); err != nil {
+				return err
+			}
+		}
+		c.data = append(c.data, frame...)
+		c.recs = append(c.recs, segRec{h: digest, loc: recLoc{seg: seg, off: at + 4, n: len(frame)}})
 		return nil
 	})
 	if err == errTorn && last {
@@ -204,11 +273,13 @@ func loadSegment(dir string, seg int, f *os.File, last bool) ([]segRec, int64, e
 	} else if err == errTorn {
 		err = fmt.Errorf("%w: torn record at offset %d of a non-final segment", ErrCorrupt, at)
 	}
-	if err != nil {
-		return nil, 0, err
+	if err == nil && len(c.recs) > 0 {
+		err = send()
 	}
-	return recs, size, nil
+	return size, err
 }
+
+func newChunk() *loadChunk { return &loadChunk{data: make([]byte, 0, chunkSize)} }
 
 // errTorn reports a record that runs past the end of its segment.
 var errTorn = fmt.Errorf("%w: torn record", ErrCorrupt)
@@ -336,7 +407,6 @@ func (b *FileBackend) Put(h Hash, frame []byte) error {
 	b.tail = append(b.tail, frame...)
 	b.tail = append(b.tail, h[:]...)
 	b.index[h] = recLoc{seg: seg, off: active.size + 4, n: len(frame)}
-	b.order = append(b.order, h)
 	active.size += int64(n)
 	b.dirty = true
 	b.writeGen++
@@ -387,9 +457,10 @@ func (b *FileBackend) Get(h Hash) ([]byte, error) {
 	return frame, nil
 }
 
-// Scan writes the tail, then visits every record in append order (first
-// occurrence of each address), reading the segments front to back. The
-// frame passed to fn is only valid until fn returns.
+// Scan writes the tail, then visits every indexed record in append order,
+// reading the segments front to back: a record is visited where the index
+// places it, so a duplicate (a later occurrence) and a forgotten record are
+// skipped. The frame passed to fn is only valid until fn returns.
 func (b *FileBackend) Scan(fn func(h Hash, frame []byte) error) error {
 	b.mu.Lock()
 	if b.closed {
@@ -401,25 +472,20 @@ func (b *FileBackend) Scan(fn func(h Hash, frame []byte) error) error {
 		return err
 	}
 	segs := append([]segment(nil), b.segs...)
-	order := b.order[:len(b.order):len(b.order)]
 	b.mu.Unlock()
-	// order lists first occurrences in file order, so walking the files
-	// meets order[k] before any later record; anything else is a duplicate.
-	k := 0
-	for _, sg := range segs {
-		_, err := readRecords(sg.f, sg.size, func(_ int64, frame []byte, digest Hash) error {
-			if k == len(order) || digest != order[k] {
+	for i, sg := range segs {
+		_, err := readRecords(sg.f, sg.size, func(at int64, frame []byte, digest Hash) error {
+			b.mu.Lock()
+			loc, ok := b.index[digest]
+			b.mu.Unlock()
+			if !ok || loc.seg != i || loc.off != at+4 {
 				return nil
 			}
-			k++
 			return fn(digest, frame)
 		})
 		if err != nil {
 			return err
 		}
-	}
-	if k < len(order) {
-		return fmt.Errorf("%w: scan found %d of %d records", ErrCorrupt, k, len(order))
 	}
 	return nil
 }
@@ -502,9 +568,32 @@ func (b *FileBackend) closeAll() error {
 	return first
 }
 
+// Forget drops hs from the index; their records stay in the log.
+func (b *FileBackend) Forget(hs []Hash) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, h := range hs {
+		delete(b.index, h)
+	}
+}
+
+// Retain rebuilds the index from the entries of keep alone, in a fresh map:
+// a Go map keeps the memory of deleted entries.
+func (b *FileBackend) Retain(keep map[Hash]struct{}) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	index := make(map[Hash]recLoc, len(keep))
+	for h := range keep {
+		if loc, ok := b.index[h]; ok {
+			index[h] = loc
+		}
+	}
+	b.index = index
+}
+
 // Len reports the number of indexed records.
 func (b *FileBackend) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.order)
+	return len(b.index)
 }

@@ -28,8 +28,8 @@ func putFrames(t *testing.T, be *FileBackend, prefix string, n int) []Hash {
 	return hs
 }
 
-// checkScanMatchesGet requires Scan to yield exactly order, each frame equal
-// to what Get returns for its address.
+// checkScanMatchesGet requires Scan to yield exactly the index in append
+// order, each frame equal to what Get returns for its address.
 func checkScanMatchesGet(t *testing.T, be *FileBackend) {
 	t.Helper()
 	var got []Hash
@@ -47,9 +47,7 @@ func checkScanMatchesGet(t *testing.T, be *FileBackend) {
 	if err != nil {
 		t.Fatalf("Scan: %v", err)
 	}
-	be.mu.Lock()
-	order := append([]Hash(nil), be.order...)
-	be.mu.Unlock()
+	order := indexOrder(be)
 	if len(got) != len(order) {
 		t.Fatalf("Scan yielded %d records, order holds %d", len(got), len(order))
 	}
@@ -75,7 +73,7 @@ func rawRecord(t *testing.T, be *FileBackend, h Hash) []byte {
 // TestScanMatchesGetAcrossSegments: over several segments (sealed ones
 // indexed concurrently at open), a record duplicated on disk in a sealed
 // and in the final segment, and appends made after reopen, Scan yields the
-// same (address, frame) sequence as Get over order, and the first
+// same (address, frame) sequence as Get over the index, and the first
 // occurrence of the duplicate keeps its index entry.
 func TestScanMatchesGetAcrossSegments(t *testing.T) {
 	dir := t.TempDir()
@@ -200,7 +198,7 @@ func reopenOrder(t *testing.T, dir string, segSize int64) []Hash {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer be.Close()
-	return append([]Hash(nil), be.order...)
+	return indexOrder(be)
 }
 
 // requirePrefix fails unless got is a prefix of appended holding at least
@@ -447,7 +445,7 @@ func TestFsyncFailureIsSticky(t *testing.T) {
 		if be.Len() != len(want) {
 			t.Fatalf("reopen: %d records, want the %d synced", be.Len(), len(want))
 		}
-		requirePrefix(t, be.order, want, len(want))
+		requirePrefix(t, indexOrder(be), want, len(want))
 		putFrames(t, be, "reopened", 3)
 		if err := be.Sync(); err != nil {
 			t.Fatalf("Sync after reopen: %v", err)

@@ -124,19 +124,23 @@ func hashFrame(frame []byte) Hash { return sha256.Sum256(frame) }
 // Metrics holds the ledger's observability counters. All fields are
 // optional handles into an obs.Registry; a nil *Metrics disables counting.
 type Metrics struct {
-	Appends     *obs.Counter // records durably appended
-	AppendBytes *obs.Counter // encoded bytes appended
-	Fsyncs      *obs.Counter // backend Sync calls
-	Forks       *obs.Counter // conflict-key forks detected
+	Appends         *obs.Counter // records durably appended
+	AppendBytes     *obs.Counter // encoded bytes appended
+	Fsyncs          *obs.Counter // backend Sync calls
+	Forks           *obs.Counter // conflict-key forks detected
+	LiveRecords     *obs.Gauge   // records the store holds in memory
+	OpenGenerations *obs.Gauge   // generations opened and not yet closed
 }
 
 // NewMetrics registers the ledger series under prefix (e.g. "dlsd") so
 // every series exists from the first scrape.
 func NewMetrics(reg *obs.Registry, prefix string) *Metrics {
 	return &Metrics{
-		Appends:     reg.Counter(prefix + "_ledger_appends_total"),
-		AppendBytes: reg.Counter(prefix + "_ledger_append_bytes_total"),
-		Fsyncs:      reg.Counter(prefix + "_ledger_fsyncs_total"),
-		Forks:       reg.Counter(prefix + "_ledger_forks_total"),
+		Appends:         reg.Counter(prefix + "_ledger_appends_total"),
+		AppendBytes:     reg.Counter(prefix + "_ledger_append_bytes_total"),
+		Fsyncs:          reg.Counter(prefix + "_ledger_fsyncs_total"),
+		Forks:           reg.Counter(prefix + "_ledger_forks_total"),
+		LiveRecords:     reg.Gauge(prefix + "_ledger_live_records"),
+		OpenGenerations: reg.Gauge(prefix + "_ledger_open_generations"),
 	}
 }

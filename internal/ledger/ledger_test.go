@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -84,7 +85,10 @@ func TestRoundTripAndVerifyMem(t *testing.T) {
 	for seq := uint64(1); seq <= 3; seq++ {
 		settleRound(t, recordRound(t, sl, seq, 4), seq)
 	}
-	sv := st.Session(sl.ID())
+	// The serving store forgot each generation as it closed; a store opened
+	// over the same backend sees them all.
+	st2 := reopenMem(t, be)
+	sv := st2.Session(sl.ID())
 	if sv == nil || len(sv.Gens) != 3 {
 		t.Fatalf("want 3 generations, got %+v", sv)
 	}
@@ -96,7 +100,7 @@ func TestRoundTripAndVerifyMem(t *testing.T) {
 		if len(gv.Artifacts) != 11 {
 			t.Fatalf("gen %d: want 11 artifacts, got %d", gv.Gen, len(gv.Artifacts))
 		}
-		rec, err := st.Get(gv.Settle)
+		rec, err := st2.Get(gv.Settle)
 		if err != nil {
 			t.Fatalf("get settle: %v", err)
 		}
@@ -105,15 +109,43 @@ func TestRoundTripAndVerifyMem(t *testing.T) {
 			t.Fatalf("settle payload: seq %d err %v", rr.Seq, err)
 		}
 	}
-	if got := st.VerifySession(sl.ID()); len(got) != 0 {
+	if got := st2.VerifySession(sl.ID()); len(got) != 0 {
 		t.Fatalf("VerifySession: unexpected issues %v", got)
 	}
-	if f := st.Forks(); len(f) != 0 {
-		t.Fatalf("unexpected forks %v", f)
+	for _, st := range []*Store{st, st2} {
+		if f := st.Forks(); len(f) != 0 {
+			t.Fatalf("unexpected forks %v", f)
+		}
+		if is := st.Issues(); len(is) != 0 {
+			t.Fatalf("unexpected issues %v", is)
+		}
 	}
-	if is := st.Issues(); len(is) != 0 {
-		t.Fatalf("unexpected issues %v", is)
+}
+
+// reopenMem opens a second store over be, which sees the whole DAG.
+func reopenMem(t *testing.T, be *MemBackend) *Store {
+	t.Helper()
+	st, err := Open(be, nil)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
 	}
+	return st
+}
+
+// teeBackend records every frame appended through it.
+type teeBackend struct {
+	Backend
+	frames map[Hash][]byte
+}
+
+func (b *teeBackend) Put(h Hash, frame []byte) error {
+	if err := b.Backend.Put(h, frame); err != nil {
+		return err
+	}
+	if _, ok := b.frames[h]; !ok {
+		b.frames[h] = append([]byte(nil), frame...)
+	}
+	return nil
 }
 
 func TestFileBackendReopenBitIdentical(t *testing.T) {
@@ -122,7 +154,10 @@ func TestFileBackendReopenBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenFile: %v", err)
 	}
-	st, err := Open(be, nil)
+	// The serving store forgets each generation as it closes, and the
+	// backend with it, so the appended frames are recorded as they pass.
+	tee := &teeBackend{Backend: be, frames: make(map[Hash][]byte)}
+	st, err := Open(tee, nil)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -134,15 +169,9 @@ func TestFileBackendReopenBitIdentical(t *testing.T) {
 	for seq := uint64(1); seq <= 8; seq++ {
 		rl := recordRound(t, sl, seq, 4)
 		settleRound(t, rl, seq)
-		settles = append(settles, st.Session(sl.ID()).Gens[seq-1].Settle)
+		settles = append(settles, st.Session(sl.ID()).Tip) // the settle just appended
 	}
-	frames := make(map[Hash][]byte)
-	if err := be.Scan(func(h Hash, frame []byte) error {
-		frames[h] = append([]byte(nil), frame...)
-		return nil
-	}); err != nil {
-		t.Fatalf("Scan: %v", err)
-	}
+	frames := tee.frames
 	if err := st.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -263,7 +292,8 @@ func TestTornTailTruncatedOnReopen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := Open(be, nil)
+			tee := &teeBackend{Backend: be, frames: make(map[Hash][]byte)}
+			st, err := Open(tee, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,7 +302,7 @@ func TestTornTailTruncatedOnReopen(t *testing.T) {
 				t.Fatal(err)
 			}
 			settleRound(t, recordRound(t, sl, 1, 4), 1)
-			nRecords := be.Len()
+			nRecords := len(tee.frames)
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -319,11 +349,19 @@ func TestTornTailTruncatedOnReopen(t *testing.T) {
 				t.Fatal(err)
 			}
 			settleRound(t, recordRound(t, sl2, 2, 4), 2)
-			if got := st2.VerifySession(1); len(got) != 0 {
-				t.Fatalf("VerifySession: %v", got)
-			}
 			if err := st2.Close(); err != nil {
 				t.Fatal(err)
+			}
+			st3, err := OpenDir(dir, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st3.Close()
+			if sv := st3.Session(1); sv == nil || len(sv.Gens) != 2 {
+				t.Fatalf("want 2 generations after the append, got %+v", sv)
+			}
+			if got := st3.VerifySession(1); len(got) != 0 {
+				t.Fatalf("VerifySession: %v", got)
 			}
 		})
 	}
@@ -342,7 +380,8 @@ func TestShortFinalSegmentIsTornRoll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := Open(be, nil)
+		tee := &teeBackend{Backend: be, frames: make(map[Hash][]byte)}
+		st, err := Open(tee, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +392,7 @@ func TestShortFinalSegmentIsTornRoll(t *testing.T) {
 		for seq := uint64(1); seq <= 2; seq++ {
 			settleRound(t, recordRound(t, sl, seq, 4), seq)
 		}
-		n := be.Len()
+		n := len(tee.frames)
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -560,7 +599,8 @@ func TestForgedRecordDetected(t *testing.T) {
 }
 
 func TestVerifySessionCatchesBadSignature(t *testing.T) {
-	st, err := Open(NewMemBackend(), nil)
+	be := NewMemBackend()
+	st, err := Open(be, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,7 +617,7 @@ func TestVerifySessionCatchesBadSignature(t *testing.T) {
 	forged.SignerID = 4
 	rl.RecordBid(4, forged)
 	settleRound(t, rl, 1)
-	issues := st.VerifySession(sl.ID())
+	issues := reopenMem(t, be).VerifySession(sl.ID())
 	if len(issues) == 0 {
 		t.Fatal("bad signature must be reported")
 	}
@@ -629,7 +669,8 @@ func TestVerifySessionEvidenceGap(t *testing.T) {
 }
 
 func TestVoidSealsEvidence(t *testing.T) {
-	st, err := Open(NewMemBackend(), nil)
+	be := NewMemBackend()
+	st, err := Open(be, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,6 +682,7 @@ func TestVoidSealsEvidence(t *testing.T) {
 	if err := rl.Void("round_failed", "engine error"); err != nil {
 		t.Fatalf("Void: %v", err)
 	}
+	st = reopenMem(t, be) // the serving store forgot the voided generation
 	gv := st.Session(sl.ID()).Gens[0]
 	if !gv.Closed() || gv.Void.IsZero() || !gv.Settle.IsZero() {
 		t.Fatalf("void not wired: %+v", gv)
@@ -694,6 +736,7 @@ func TestRoundAtResumeDedupsIntoPreload(t *testing.T) {
 		t.Fatalf("re-run grew the artifact set: %d -> %d", preCrash, got)
 	}
 	settleRound(t, rl2, 1)
+	st2 = reopenMem(t, be) // the serving store forgot the settled generation
 	gv := st2.Session(1).Gens[0]
 	if gv.Settle.IsZero() {
 		t.Fatal("resumed round did not settle")
@@ -861,5 +904,165 @@ func TestRecordZeroAlloc(t *testing.T) {
 	}
 	if err := rl.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpenRoundRacesClose: in a pipelined stream, rounds open while earlier
+// ones close on another goroutine, and each close makes the store forget a
+// generation and move the tip the next open is parented on. Every open
+// must land, on the tip of its moment, and the log must reopen whole.
+func TestOpenRoundRacesClose(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenDir(dir, 1<<14, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl, err := st.OpenSession(wire.Hello{Tenant: "t", Size: 3, Seed: testSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 2000
+	opened := make(chan *RoundLog, 4)
+	closed := make(chan error, 1)
+	go func() {
+		for rl := range opened {
+			rl.RecordLoadAck(1, wire.Load{Amount: float64(rl.Gen())})
+			if err := rl.CloseDeferred(wire.RoundResult{Seq: rl.Gen(), Completed: true}); err != nil {
+				closed <- err
+				return
+			}
+			if rl.Gen()%16 == 0 {
+				if err := sl.Sync(); err != nil {
+					closed <- err
+					return
+				}
+			}
+		}
+		closed <- nil
+	}()
+	for seq := uint64(1); seq <= rounds; seq++ {
+		rl, err := sl.OpenRound(wire.Round{Seq: seq})
+		if err != nil {
+			t.Fatalf("OpenRound %d: %v", seq, err)
+		}
+		opened <- rl
+	}
+	close(opened)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if records, openGens := st.Live(); records != 2 || openGens != 0 {
+		t.Fatalf("after the last close the store holds %d records and %d open generations, want 2 and 0", records, openGens)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDir(dir, 1<<14, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if is := re.Issues(); len(is) != 0 {
+		t.Fatalf("reopen issues: %v", is)
+	}
+	sv := re.Session(sl.ID())
+	if sv == nil || len(sv.Gens) != rounds {
+		t.Fatalf("reopened session: %+v, want %d generations", sv, rounds)
+	}
+	for _, gv := range sv.Gens {
+		if gv.Settle.IsZero() || len(gv.Artifacts) != 1 {
+			t.Fatalf("gen %d: settle %s, %d artifacts", gv.Gen, gv.Settle.Short(), len(gv.Artifacts))
+		}
+	}
+}
+
+// TestOpenDirMatchesOpen: the fused open wires a multi-segment log with a
+// fork and a record duplicated on disk exactly as Open over OpenFile does,
+// and fails where OpenFile fails.
+func TestOpenDirMatchesOpen(t *testing.T) {
+	dir := t.TempDir()
+	const segSize = 1 << 12
+	be, err := OpenFile(dir, segSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(be, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl, err := st.OpenSession(wire.Hello{Tenant: "t", Size: 4, Seed: testSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= 6; seq++ {
+		settleRound(t, recordRound(t, sl, seq, 4), seq)
+	}
+	rl := recordRound(t, sl, 7, 4) // left open, with a fork in it
+	rl.RecordBid(1, sign.NewSigner(1, testSeed).Sign([]byte("a second bid")))
+	if len(st.Forks()) != 1 {
+		t.Fatalf("want 1 fork, got %v", st.Forks())
+	}
+	dup := rawRecord(t, be, st.Session(sl.ID()).Head)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if len(segs) < 3 {
+		t.Fatalf("want at least 3 segments, got %d", len(segs))
+	}
+	for _, seg := range []string{segs[1], segs[len(segs)-1]} {
+		f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(dup); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+
+	be1, err := OpenFile(dir, segSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st1, err := Open(be1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st1.Close()
+	st2, err := OpenDir(dir, segSize, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	for _, c := range []struct {
+		name string
+		a, b any
+	}{
+		{"sessions", st1.Sessions(), st2.Sessions()},
+		{"forks", st1.Forks(), st2.Forks()},
+		{"issues", st1.Issues(), st2.Issues()},
+		{"index", indexOrder(be1), indexOrder(st2.be.(*FileBackend))},
+	} {
+		if !reflect.DeepEqual(c.a, c.b) {
+			t.Fatalf("%s differ:\nOpen:    %+v\nOpenDir: %+v", c.name, c.a, c.b)
+		}
+	}
+	r1, o1 := st1.Live()
+	r2, o2 := st2.Live()
+	if r1 != r2 || o1 != o2 || o1 != 1 || len(st2.Forks()) != 1 {
+		t.Fatalf("Live: Open %d/%d, OpenDir %d/%d; forks %v", r1, o1, r2, o2, st2.Forks())
+	}
+
+	// Interior damage fails both opens alike.
+	info, err := os.Stat(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(segs[0], info.Size()-7); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenDir(dir, segSize, nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("OpenDir over a truncated sealed segment: %v, want ErrCorrupt", err)
 	}
 }

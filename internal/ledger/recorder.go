@@ -41,7 +41,7 @@ func (s *Store) ResumeSession(id uint64) (*SessionLog, error) {
 	if sv == nil {
 		return nil, fmt.Errorf("ledger: session %d not in the log", id)
 	}
-	return &SessionLog{st: s, id: id, gen: uint64(len(sv.Gens))}, nil
+	return &SessionLog{st: s, id: id, gen: sv.Opened}, nil
 }
 
 // ID returns the ledger session identifier.
@@ -73,26 +73,37 @@ type RoundLog struct {
 // other evidence at the next barrier: a crash mid-round leaves a mark of
 // what was being attempted if a barrier ran in between, and otherwise no
 // trace of a round no client saw settle.
+//
+// The tip is read and appended to in two steps, and a concurrent close (a
+// pipelined stream settles load k while load k+1 opens) can move it in
+// between. The store would then forget the old tip, so the append is
+// retried on the new one.
 func (sl *SessionLog) OpenRound(rq wire.Round) (*RoundLog, error) {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	tip, ok := sl.st.sessionTip(sl.id)
-	if !ok {
-		return nil, fmt.Errorf("ledger: session %d not in the log", sl.id)
-	}
 	gen := sl.gen + 1
-	h, _, err := sl.st.Put(Record{
-		Kind:    KindRound,
-		Session: sl.id,
-		Gen:     gen,
-		Parents: []Hash{tip},
-		Payload: wire.AppendRound(nil, rq),
-	})
-	if err != nil {
-		return nil, err
+	payload := wire.AppendRound(nil, rq)
+	for {
+		tip, ok := sl.st.sessionTip(sl.id)
+		if !ok {
+			return nil, fmt.Errorf("ledger: session %d not in the log", sl.id)
+		}
+		h, _, err := sl.st.put(Record{
+			Kind:    KindRound,
+			Session: sl.id,
+			Gen:     gen,
+			Parents: []Hash{tip},
+			Payload: payload,
+		}, putOpen)
+		if err == errTipMoved {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		sl.gen = gen
+		return sl.newRoundLog(gen, h, rq.Seq, nil), nil
 	}
-	sl.gen = gen
-	return sl.newRoundLog(gen, h, rq.Seq, nil), nil
 }
 
 // RoundAt returns a recorder anchored at generation gen's existing open
@@ -102,11 +113,10 @@ func (sl *SessionLog) OpenRound(rq wire.Round) (*RoundLog, error) {
 func (sl *SessionLog) RoundAt(gen uint64) (*RoundLog, error) {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	sv := sl.st.Session(sl.id)
-	if sv == nil || gen == 0 || gen > uint64(len(sv.Gens)) {
-		return nil, fmt.Errorf("ledger: session %d has no generation %d", sl.id, gen)
+	gv := sl.st.gen(sl.id, gen)
+	if gv == nil {
+		return nil, fmt.Errorf("ledger: session %d holds no generation %d", sl.id, gen)
 	}
-	gv := sv.Gens[gen-1]
 	return sl.newRoundLog(gen, gv.Open, gv.Round.Seq, gv.Artifacts), nil
 }
 
@@ -227,7 +237,9 @@ func (rl *RoundLog) Close(rr wire.RoundResult) error {
 // consecutive settles and covers them with one SessionLog.Sync — so the
 // barrier's fixed cost amortizes across the pipeline window while
 // fsync-before-ack still holds per load (no result is acknowledged before
-// a Sync that covers its settle returns nil).
+// a Sync that covers its settle returns nil). The store forgets the
+// generation as the settle is appended; any later append to it fails with
+// ErrForgotten.
 func (rl *RoundLog) CloseDeferred(rr wire.RoundResult) error {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
@@ -241,13 +253,13 @@ func (rl *RoundLog) CloseDeferred(rr wire.RoundResult) error {
 			return rl.err
 		}
 	}
-	_, _, err := rl.sl.st.Put(Record{
+	_, _, err := rl.sl.st.put(Record{
 		Kind:    KindSettle,
 		Session: rl.sl.id,
 		Gen:     rl.gen,
 		Parents: rl.closeParents(),
 		Payload: wire.AppendRoundResult(nil, rr),
-	})
+	}, putClose)
 	if err != nil {
 		rl.err = err
 		return err
@@ -260,20 +272,21 @@ func (sl *SessionLog) Sync() error { return sl.st.Sync() }
 
 // Void closes the round without an outcome: the run failed or could not be
 // resumed, and the void record seals whatever evidence exists. The payload
-// is a SrvError frame naming the reason.
+// is a SrvError frame naming the reason. The store forgets the generation
+// as the void is appended, as at CloseDeferred.
 func (rl *RoundLog) Void(code, msg string) error {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
 	// A sticky artifact error does not block voiding: void is exactly the
 	// "evidence intact, no outcome" close, and it must be attemptable even
 	// after a failed append (the Put below will surface a dead backend).
-	_, _, err := rl.sl.st.Put(Record{
+	_, _, err := rl.sl.st.put(Record{
 		Kind:    KindVoid,
 		Session: rl.sl.id,
 		Gen:     rl.gen,
 		Parents: rl.closeParents(),
 		Payload: wire.AppendSrvError(nil, wire.SrvError{Seq: rl.seq, Code: code, Msg: msg}),
-	})
+	}, putClose)
 	if err != nil {
 		return err
 	}

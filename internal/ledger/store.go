@@ -1,21 +1,45 @@
 package ledger
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"dlsmech/internal/wire"
 )
 
-// conflictKey identifies the one submission slot a record occupies; two
-// different records under the same key are a fork.
-type conflictKey struct {
+// genRef names one generation of one session; generation 0 holds the
+// session record.
+type genRef struct {
 	session uint64
 	gen     uint64
-	slot    int
-	kind    Kind
 }
+
+// slotKey is a record's cell within its generation. (session, gen, slot,
+// kind) is the conflict key: two different records under it are a fork.
+type slotKey struct {
+	slot int
+	kind Kind
+}
+
+// genKeys holds one generation's conflict-key cells and the fork
+// challengers filed under them: every record the store knows for that
+// generation, so that forgetting the generation can drop each one.
+type genKeys struct {
+	first  map[slotKey]Hash
+	forked []Hash
+}
+
+// ErrForgotten refuses an append to a generation the store has closed and
+// forgotten.
+var ErrForgotten = errors.New("ledger: generation is closed and forgotten")
+
+// errTipMoved makes OpenRound re-read the tip: a close moved it between the
+// read and the append.
+var errTipMoved = errors.New("ledger: session tip moved")
 
 // Fork records a conflict-key collision: two distinct records where the
 // protocol permits exactly one. A is the branch wired into the views (first
@@ -62,65 +86,118 @@ type GenView struct {
 // Closed reports whether the generation reached a durable outcome.
 func (g *GenView) Closed() bool { return !g.Settle.IsZero() || !g.Void.IsZero() }
 
-// SessionView is the wired state of one session. Views returned by the
-// store are live and must be treated as read-only snapshots under the
-// caller's synchronization regime (the daemon reads them only at recovery,
-// before serving starts; dlsaudit is single-threaded).
+// SessionView is the wired state of one session. A store from Open holds
+// every generation in the log. A serving store forgets each generation
+// once its close record is appended (RoundLog.CloseDeferred, RoundLog.Void)
+// and recovery forgets the ones it has replayed (ForgetClosed), so there
+// Gens holds only the generations still open. Views returned by the store
+// are live and must be treated as read-only snapshots under the caller's
+// synchronization regime (the daemon reads them only at recovery, before
+// serving starts; dlsaudit is single-threaded).
 type SessionView struct {
-	ID    uint64
-	Hello wire.Hello
-	Head  Hash
-	Tip   Hash
-	Gens  []*GenView
+	ID     uint64
+	Hello  wire.Hello
+	Head   Hash
+	Tip    Hash
+	Opened uint64     // generations opened, forgotten ones included
+	Gens   []*GenView // the generations held, ascending
+	// staleTip: Tip belongs to a forgotten generation. It stays known,
+	// because the next round-open is parented on it, until the tip moves.
+	staleTip bool
+}
+
+// find returns generation gen's position in Gens.
+func (sv *SessionView) find(gen uint64) (int, bool) {
+	if gen >= 1 && gen <= uint64(len(sv.Gens)) && sv.Gens[gen-1].Gen == gen {
+		return int(gen - 1), true // every generation is held: a store from Open
+	}
+	return slices.BinarySearchFunc(sv.Gens, gen, func(gv *GenView, gen uint64) int { return cmp.Compare(gv.Gen, gen) })
 }
 
 // Store wires a backend's records into the evidence DAG and enforces its
 // invariants on every append: parents must exist, conflict keys collide
 // into forks, spines stay contiguous. One Store owns one backend.
+//
+// What it holds in memory is bounded by what can still be appended to:
+// every session's head and tip, and the records of the generations it
+// holds (see SessionView). Forgetting a generation drops its view, its
+// records from known and byKey and their backend index entries; its
+// evidence stays in the log, and a store opened over the log sees it.
 type Store struct {
 	mu          sync.Mutex
 	be          Backend
 	met         *Metrics
 	known       map[Hash]struct{}
-	byKey       map[conflictKey]Hash
+	byKey       map[genRef]*genKeys
 	forks       []Fork
 	issues      []Issue
 	sessions    map[uint64]*SessionView
 	nextSession uint64
+	openGens    int    // generations wired open and not yet closed
+	drop        []Hash // hashes for the backend's Forget, reused under mu
 }
 
 // encBufs pools the envelope scratch Put encodes and hashes into before it
 // takes the store lock.
 var encBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// Open wires every record the backend holds. It fails hard only on
-// unreadable storage (I/O errors, digest mismatches, undecodable frames);
-// structural damage is collected into Issues() so an auditor can report it.
-func Open(be Backend, met *Metrics) (*Store, error) {
-	s := &Store{
+func newStore(be Backend, met *Metrics) *Store {
+	return &Store{
 		be:          be,
 		met:         met,
 		known:       make(map[Hash]struct{}),
-		byKey:       make(map[conflictKey]Hash),
+		byKey:       make(map[genRef]*genKeys),
 		sessions:    make(map[uint64]*SessionView),
 		nextSession: 1,
 	}
-	err := be.Scan(func(h Hash, frame []byte) error {
-		if hashFrame(frame) != h {
-			return fmt.Errorf("ledger: record %s: content does not match its address", h.Short())
-		}
-		rec, err := decodeRecord(frame)
-		if err != nil {
-			return fmt.Errorf("ledger: record %s: %w", h.Short(), err)
-		}
-		s.ingestLocked(h, rec)
-		return nil
-	})
+}
+
+// Open wires every record the backend holds; it never forgets, so the
+// store sees the whole DAG. It fails hard only on unreadable storage (I/O
+// errors, digest mismatches, undecodable frames); structural damage is
+// collected into Issues() so an auditor can report it.
+func Open(be Backend, met *Metrics) (*Store, error) {
+	s := newStore(be, met)
+	if err := be.Scan(s.ingestFrame); err != nil {
+		return nil, err
+	}
+	s.gaugesLocked()
+	return s, nil
+}
+
+// OpenDir is Open(OpenFile(dir, segSize), met) in one pass: each record is
+// read and digest-checked once, by the backend's open, and wired from that
+// same frame. Closing the store closes the backend.
+func OpenDir(dir string, segSize int64, met *Metrics) (*Store, error) {
+	s := newStore(nil, met)
+	be, err := openFile(dir, segSize, s.ingestFrame)
 	if err != nil {
 		return nil, err
 	}
+	s.be = be
+	s.gaugesLocked()
 	return s, nil
 }
+
+// ingestFrame decodes and wires one record found at open. The store is not
+// yet shared, so it takes no lock.
+func (s *Store) ingestFrame(h Hash, frame []byte) error {
+	rec, err := decodeRecord(frame)
+	if err != nil {
+		return fmt.Errorf("ledger: record %s: %w", h.Short(), err)
+	}
+	s.ingestLocked(h, rec)
+	return nil
+}
+
+// putMode is what an append does beside persisting and wiring its record.
+type putMode uint8
+
+const (
+	putPlain putMode = iota
+	putOpen          // a round-open parented on the tip: errTipMoved unless that is still the tip
+	putClose         // a settle or void: forget its generation once wired
+)
 
 // Put encodes, addresses, persists and wires one record. The returned bool
 // reports whether the record was already present (an idempotent re-append).
@@ -129,11 +206,16 @@ func Open(be Backend, met *Metrics) (*Store, error) {
 // is recorded and the challenger persisted, because divergent evidence must
 // survive to be audited. Encoding and hashing run before the store lock is
 // taken; the lock covers the checks, the backend append and the wiring.
-func (s *Store) Put(rec Record) (Hash, bool, error) {
+//
+// An append to a generation the store has forgotten fails with
+// ErrForgotten: its evidence is sealed by a close record.
+func (s *Store) Put(rec Record) (Hash, bool, error) { return s.put(rec, putPlain) }
+
+func (s *Store) put(rec Record, mode putMode) (Hash, bool, error) {
 	buf := encBufs.Get().(*[]byte)
 	enc := appendRecord((*buf)[:0], rec)
 	h := hashFrame(enc)
-	dup, err := s.putEncoded(h, enc, rec)
+	dup, err := s.putEncoded(h, enc, rec, mode)
 	if err == nil && !dup && s.met != nil {
 		s.met.Appends.Inc()
 		s.met.AppendBytes.Add(int64(len(enc)))
@@ -144,11 +226,20 @@ func (s *Store) Put(rec Record) (Hash, bool, error) {
 }
 
 // putEncoded is Put's locked section for the envelope enc of rec at h.
-func (s *Store) putEncoded(h Hash, enc []byte, rec Record) (bool, error) {
+func (s *Store) putEncoded(h Hash, enc []byte, rec Record, mode putMode) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.known[h]; ok {
 		return true, nil
+	}
+	sv := s.sessions[rec.Session]
+	if mode == putOpen && (sv == nil || sv.Tip != rec.Parents[0]) {
+		return false, errTipMoved
+	}
+	if rec.Kind != KindSession && sv != nil && rec.Gen >= 1 && rec.Gen <= sv.Opened {
+		if _, held := sv.find(rec.Gen); !held {
+			return false, fmt.Errorf("%w: session %d gen %d, %s record", ErrForgotten, rec.Session, rec.Gen, rec.Kind)
+		}
 	}
 	for _, p := range rec.Parents {
 		if _, ok := s.known[p]; !ok {
@@ -160,7 +251,122 @@ func (s *Store) putEncoded(h Hash, enc []byte, rec Record) (bool, error) {
 	}
 	s.known[h] = struct{}{}
 	s.wireLocked(h, rec)
+	if mode == putClose && sv != nil {
+		if i, ok := sv.find(rec.Gen); ok && sv.Gens[i].Closed() {
+			s.forgetLocked(sv, sv.Gens[i])
+			s.be.Forget(s.drop)
+			s.drop = s.drop[:0]
+			// A copy, not an in-place delete: recovery may be ranging over
+			// the old slice while it closes a resumed generation.
+			var held []*GenView
+			if len(sv.Gens) > 1 {
+				held = slices.Concat(sv.Gens[:i], sv.Gens[i+1:])
+			}
+			sv.Gens = held
+		}
+	}
+	s.gaugesLocked()
 	return false, nil
+}
+
+// forgetLocked drops closed generation gv of sv from memory: every record
+// filed under its conflict keys leaves known, except the session tip, which
+// stays known until the tip moves on, and is appended to s.drop for the
+// caller to pass to the backend's Forget. The caller also removes gv from
+// sv.Gens.
+func (s *Store) forgetLocked(sv *SessionView, gv *GenView) {
+	ref := genRef{sv.ID, gv.Gen}
+	gk := s.byKey[ref]
+	if gk == nil {
+		return
+	}
+	delete(s.byKey, ref)
+	for _, h := range gk.first {
+		s.forgetRecordLocked(sv, h)
+	}
+	for _, h := range gk.forked {
+		s.forgetRecordLocked(sv, h)
+	}
+}
+
+// forgetRecordLocked is forgetLocked for one record.
+func (s *Store) forgetRecordLocked(sv *SessionView, h Hash) {
+	if h == sv.Tip {
+		sv.staleTip = true
+		return
+	}
+	delete(s.known, h)
+	s.drop = append(s.drop, h)
+}
+
+// moveTipLocked advances sv's tip to h, dropping a stale tip.
+func (s *Store) moveTipLocked(sv *SessionView, h Hash) {
+	if sv.staleTip {
+		delete(s.known, sv.Tip)
+		s.drop = append(s.drop[:0], sv.Tip)
+		s.be.Forget(s.drop)
+		s.drop = s.drop[:0]
+		sv.staleTip = false
+	}
+	sv.Tip = h
+}
+
+// ForgetClosed forgets every closed generation of every session, as the
+// serving path forgets each generation it closes. Recovery calls it once
+// it has replayed the log. Rather than deleting a whole history record by
+// record, it rebuilds known, and the backend index through Retain, from
+// what survives: the session records, the held generations' records and
+// the tips.
+func (s *Store) ForgetClosed() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, sv := range s.sessions {
+		var held []*GenView
+		for _, gv := range sv.Gens {
+			if gv.Closed() {
+				delete(s.byKey, genRef{sv.ID, gv.Gen})
+			} else {
+				held = append(held, gv)
+			}
+		}
+		sv.Gens = held
+	}
+	known := make(map[Hash]struct{})
+	for _, gk := range s.byKey {
+		for _, h := range gk.first {
+			known[h] = struct{}{}
+		}
+		for _, h := range gk.forked {
+			known[h] = struct{}{}
+		}
+	}
+	for _, sv := range s.sessions {
+		if _, ok := known[sv.Tip]; !ok {
+			known[sv.Tip] = struct{}{}
+			sv.staleTip = true
+		}
+	}
+	s.known = known
+	s.drop = nil
+	s.be.Retain(known)
+	s.gaugesLocked()
+}
+
+// Live reports what the store holds in memory: its known records and the
+// generations wired open and not yet closed.
+func (s *Store) Live() (records, openGens int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.known), s.openGens
+}
+
+// gaugesLocked publishes Live to the metrics.
+func (s *Store) gaugesLocked() {
+	if s.met == nil {
+		return
+	}
+	s.met.LiveRecords.Set(float64(len(s.known)))
+	s.met.OpenGenerations.Set(float64(s.openGens))
 }
 
 // Sync flushes the backend; the durability point of everything Put so far.
@@ -235,6 +441,13 @@ func (s *Store) sessionTip(id uint64) (Hash, bool) {
 	return sv.Tip, true
 }
 
+// gen returns a held generation's view, or nil.
+func (s *Store) gen(session, gen uint64) *GenView {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.genLocked(session, gen)
+}
+
 // allocSession reserves the next session ID.
 func (s *Store) allocSession() uint64 {
 	s.mu.Lock()
@@ -273,18 +486,25 @@ func (s *Store) ingestLocked(h Hash, rec Record) {
 // wireLocked wires one known, persisted record into the views. The
 // open-time scan and the live append path apply identical rules.
 func (s *Store) wireLocked(h Hash, rec Record) {
-	k := conflictKey{rec.Session, rec.Gen, rec.Slot, rec.Kind}
-	if prev, ok := s.byKey[k]; ok {
+	ref := genRef{rec.Session, rec.Gen}
+	gk := s.byKey[ref]
+	if gk == nil {
+		gk = &genKeys{first: make(map[slotKey]Hash)}
+		s.byKey[ref] = gk
+	}
+	k := slotKey{rec.Slot, rec.Kind}
+	if prev, ok := gk.first[k]; ok {
 		s.forks = append(s.forks, Fork{
 			Session: rec.Session, Gen: rec.Gen, Slot: rec.Slot, Kind: rec.Kind,
 			A: prev, B: h,
 		})
+		gk.forked = append(gk.forked, h)
 		if s.met != nil {
 			s.met.Forks.Inc()
 		}
 		return // the first branch stays wired; the challenger is evidence only
 	}
-	s.byKey[k] = h
+	gk.first[k] = h
 
 	switch rec.Kind {
 	case KindSession:
@@ -312,24 +532,29 @@ func (s *Store) wireLocked(h Hash, rec Record) {
 			s.issue("bad-payload", rec, h, "round payload: %v", err)
 			return
 		}
-		if rec.Gen != uint64(len(sv.Gens))+1 {
-			s.issue("non-contiguous-gen", rec, h, "round opens gen %d, expected %d", rec.Gen, len(sv.Gens)+1)
+		if rec.Gen != sv.Opened+1 {
+			s.issue("non-contiguous-gen", rec, h, "round opens gen %d, expected %d", rec.Gen, sv.Opened+1)
 			return
 		}
+		sv.Opened = rec.Gen
 		sv.Gens = append(sv.Gens, &GenView{Gen: rec.Gen, Open: h, Round: rq})
-		sv.Tip = h
+		s.openGens++
+		s.moveTipLocked(sv, h)
 	case KindSettle, KindVoid:
 		gv := s.genLocked(rec.Session, rec.Gen)
 		if gv == nil {
 			s.issue("orphan-close", rec, h, "%s record for unknown generation", rec.Kind)
 			return
 		}
+		if !gv.Closed() {
+			s.openGens--
+		}
 		if rec.Kind == KindSettle {
 			gv.Settle = h
 		} else {
 			gv.Void = h
 		}
-		s.sessions[rec.Session].Tip = h
+		s.moveTipLocked(s.sessions[rec.Session], h)
 	default:
 		gv := s.genLocked(rec.Session, rec.Gen)
 		if gv == nil {
@@ -343,8 +568,12 @@ func (s *Store) wireLocked(h Hash, rec Record) {
 // genLocked resolves a (session, gen) pair to its view, or nil.
 func (s *Store) genLocked(session, gen uint64) *GenView {
 	sv := s.sessions[session]
-	if sv == nil || gen == 0 || gen > uint64(len(sv.Gens)) {
+	if sv == nil {
 		return nil
 	}
-	return sv.Gens[gen-1]
+	i, ok := sv.find(gen)
+	if !ok {
+		return nil
+	}
+	return sv.Gens[i]
 }

@@ -170,11 +170,23 @@ func (l *Ledger) Accounts() []int {
 func (l *Ledger) NetZero(tol float64) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var sum float64
-	for _, b := range l.balances {
-		sum += b
+	return math.Abs(sumByID(l.balances)) <= tol
+}
+
+// sumByID adds the balances in ascending account-ID order. Float addition
+// is not associative, so summing in map order would let the result, and
+// the settlement bytes that carry it, change from call to call.
+func sumByID(balances map[int]float64) float64 {
+	ids := make([]int, 0, len(balances))
+	for id := range balances {
+		ids = append(ids, id)
 	}
-	return math.Abs(sum) <= tol
+	sort.Ints(ids)
+	var sum float64
+	for _, id := range ids {
+		sum += balances[id]
+	}
+	return sum
 }
 
 // MechanismOutlay returns how much the mechanism has paid out net of fines
@@ -249,9 +261,5 @@ func (b *Book) Balance(id int) float64 {
 func (b *Book) NetZero(tol float64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var sum float64
-	for _, bal := range b.balances {
-		sum += bal
-	}
-	return math.Abs(sum) <= tol
+	return math.Abs(sumByID(b.balances)) <= tol
 }

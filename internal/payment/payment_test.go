@@ -143,3 +143,44 @@ func TestConcurrentTransfers(t *testing.T) {
 		}
 	}
 }
+
+// TestNetZeroSumsInIDOrder: on balances whose float sum depends on the
+// order of addition, NetZero gives the same answer on every call, the one
+// the ascending-account-ID sum gives.
+func TestNetZeroSumsInIDOrder(t *testing.T) {
+	// Balances 1e16, 1, -1e16, 1, 1e16, 1, -1e16, -3 on accounts 0..7.
+	transfers := []Entry{
+		{From: 2, To: 0, Amount: 1e16},
+		{From: 6, To: 4, Amount: 1e16},
+		{From: 7, To: 1, Amount: 1},
+		{From: 7, To: 3, Amount: 1},
+		{From: 7, To: 5, Amount: 1},
+	}
+	l := NewLedger()
+	b := NewBook()
+	for _, e := range transfers {
+		if err := l.Transfer(e.From, e.To, e.Amount, KindAdjustment, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Apply(transfers); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		balance func(int) float64
+		netZero func(float64) bool
+	}{"Ledger": {l.Balance, l.NetZero}, "Book": {b.Balance, b.NetZero}} {
+		var sum float64
+		for id := 0; id < 8; id++ {
+			sum += c.balance(id)
+		}
+		for _, tol := range []float64{0.5, 1.5, 2.5, 3.5} {
+			want := math.Abs(sum) <= tol
+			for i := 0; i < 200; i++ {
+				if got := c.netZero(tol); got != want {
+					t.Fatalf("%s.NetZero(%g) call %d = %v; the ID-order sum %g gives %v", name, tol, i, got, sum, want)
+				}
+			}
+		}
+	}
+}

@@ -39,8 +39,9 @@ type AuditOptions struct {
 //  4. the theorem checkers (2.1, 5.1–5.4) replayed against every distinct
 //     (network, config, seed) cell the log's rounds exercised.
 //
-// The store must come from a successful ledger.Open — forged or truncated
-// storage already failed there, before any report exists.
+// The store must come from a successful ledger.Open or ledger.OpenDir, which
+// hold the whole DAG — forged or truncated storage already failed there,
+// before any report exists.
 func AuditLedger(st *ledger.Store, opts AuditOptions) (*verify.Report, error) {
 	logf := opts.Logf
 	if logf == nil {

@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -141,36 +142,12 @@ func TestLedgerCrashRecoveryResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restart over crashed ledger: %v", err)
 	}
-	sv := st3.Session(1)
-	if sv == nil || len(sv.Gens) != k {
+	// Recovery forgot every generation it replayed or settled.
+	if sv := st3.Session(1); sv == nil || sv.Opened != k || len(sv.Gens) != 0 {
 		t.Fatalf("recovered session damaged: %+v", sv)
-	}
-	for i, gv := range sv.Gens {
-		if gv.Settle.IsZero() {
-			t.Fatalf("gen %d not settled after recovery", i+1)
-		}
 	}
 	if forks := st3.Forks(); len(forks) != 0 {
 		t.Fatalf("resume forked the evidence: %v", forks)
-	}
-	// Rounds 1..k-1: settle payloads byte-identical to what the client was
-	// acknowledged in epoch 1.
-	for i, gv := range sv.Gens[:k-1] {
-		rec, err := st3.Get(gv.Settle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(rec.Payload, acked[i]) {
-			t.Fatalf("gen %d settle differs from the acked result", i+1)
-		}
-	}
-	// Round k: settled exactly as the uninterrupted run would have.
-	rec, err := st3.Get(sv.Gens[k-1].Settle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rec.Payload, wantK) {
-		t.Fatalf("resumed round %d settled differently from the uninterrupted run", k)
 	}
 	// The recovered session serves round k+1 warm.
 	c3, err := server.Dial(s3.Addr().String(), hello)
@@ -185,9 +162,48 @@ func TestLedgerCrashRecoveryResume(t *testing.T) {
 		t.Fatalf("round after recovery: %v", err)
 	}
 	c3.Close()
+	shutdownServer(t, s3)
+	if err := st3.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The reopened log holds the whole history: every generation settled.
+	st4 := openLedger(t, dir)
+	defer st4.Close()
+	sv := st4.Session(1)
+	if sv == nil || len(sv.Gens) != k+1 {
+		t.Fatalf("recovered session damaged: %+v", sv)
+	}
+	for i, gv := range sv.Gens {
+		if gv.Settle.IsZero() {
+			t.Fatalf("gen %d not settled after recovery", i+1)
+		}
+	}
+	if forks := st4.Forks(); len(forks) != 0 {
+		t.Fatalf("resume forked the evidence: %v", forks)
+	}
+	// Rounds 1..k-1: settle payloads byte-identical to what the client was
+	// acknowledged in epoch 1.
+	for i, gv := range sv.Gens[:k-1] {
+		rec, err := st4.Get(gv.Settle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec.Payload, acked[i]) {
+			t.Fatalf("gen %d settle differs from the acked result", i+1)
+		}
+	}
+	// Round k: settled exactly as the uninterrupted run would have.
+	rec, err := st4.Get(sv.Gens[k-1].Settle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rec.Payload, wantK) {
+		t.Fatalf("resumed round %d settled differently from the uninterrupted run", k)
+	}
 
 	// The full log passes the audit with zero violations.
-	rep, err := server.AuditLedger(st3, server.AuditOptions{Strict: true, MaxTheoremCells: 1, Logf: t.Logf})
+	rep, err := server.AuditLedger(st4, server.AuditOptions{Strict: true, MaxTheoremCells: 1, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("audit: %v", err)
 	}
@@ -196,10 +212,6 @@ func TestLedgerCrashRecoveryResume(t *testing.T) {
 			t.Errorf("audit violation: %s", v)
 		}
 		t.Fatalf("audit found %d violations", rep.Summary.Violations)
-	}
-	shutdownServer(t, s3)
-	if err := st3.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -301,7 +313,8 @@ func TestLedgerDrainDurability(t *testing.T) {
 // occupied (session, gen, slot, kind) cell — the DAG analog of a double
 // spend — must surface as an audit violation.
 func TestAuditDetectsDoubleSubmissionFork(t *testing.T) {
-	st, err := ledger.Open(ledger.NewMemBackend(), nil)
+	be := ledger.NewMemBackend()
+	st, err := ledger.Open(be, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,21 +343,31 @@ func TestAuditDetectsDoubleSubmissionFork(t *testing.T) {
 	}
 
 	// The double submission: processor 1 "re-bids" a different commitment
-	// into its already-occupied Phase I slot.
-	open := st.Session(sl.ID()).Gens[0].Open
+	// into its already-occupied Phase I slot. The serving store forgot the
+	// generation when it settled and refuses the append; a store reopened
+	// over the same log, as an auditor opens it, takes it as a fork.
+	st2, err := ledger.Open(be, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := st2.Session(sl.ID()).Gens[0].Open
 	forged := sign.NewSigner(1, hello.Seed).Sign([]byte("second, different bid"))
-	if _, _, err := st.Put(ledger.Record{
+	rec := ledger.Record{
 		Kind: ledger.KindBid, Session: sl.ID(), Gen: 1, Slot: 1,
 		Parents: []ledger.Hash{open},
 		Payload: wire.AppendBid(nil, wire.Bid{From: 1, Signed: []sign.Signed{forged}}),
-	}); err != nil {
+	}
+	if _, _, err := st.Put(rec); !errors.Is(err, ledger.ErrForgotten) {
+		t.Fatalf("serving store took an append to a settled generation: %v", err)
+	}
+	if _, _, err := st2.Put(rec); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Forks()) != 1 {
-		t.Fatalf("want 1 fork, got %v", st.Forks())
+	if len(st2.Forks()) != 1 {
+		t.Fatalf("want 1 fork, got %v", st2.Forks())
 	}
 
-	rep, err := server.AuditLedger(st, server.AuditOptions{Strict: true, MaxTheoremCells: 1, Logf: t.Logf})
+	rep, err := server.AuditLedger(st2, server.AuditOptions{Strict: true, MaxTheoremCells: 1, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,6 +26,9 @@ import (
 //   - the recovered session lands in the pool, warm, with its ledger spine
 //     positioned for the next generation.
 //
+// Once every session is recovered, the store forgets every closed
+// generation (ledger.Store.ForgetClosed), as serving does.
+//
 // Recovery also replays every settled round into the tenant book, so the
 // cumulative conservation invariant survives the restart.
 //
@@ -89,8 +92,9 @@ func (s *Server) Recover() error {
 			return err
 		}
 		s.cfg.Logf("dlsd: recovered ledger session %d (%q, m=%d, %d generations)",
-			sv.ID, sv.Hello.Tenant, sv.Hello.Size, len(sv.Gens))
+			sv.ID, sv.Hello.Tenant, sv.Hello.Size, sv.Opened)
 	}
+	st.ForgetClosed()
 	return nil
 }
 

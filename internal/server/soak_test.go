@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dlsmech/internal/ledger"
 	"dlsmech/internal/server"
 	"dlsmech/internal/server/servertest"
 	"dlsmech/internal/wire"
@@ -217,8 +218,14 @@ func TestSoakStream(t *testing.T) {
 		t.Error("tenant cumulative ledger lost money")
 	}
 
-	// Every load is durably settled, gap-free, in one unforked session log.
-	sv := st.Session(1)
+	// The serving store forgot every settled load.
+	if sv := st.Session(1); sv == nil || sv.Opened != uint64(loads) || len(sv.Gens) != 0 {
+		t.Fatalf("serving store holds %+v, want %d generations opened and none held", sv, loads)
+	}
+	// Every load is durably settled, gap-free, in one unforked session log:
+	// the log reopened alongside the quiesced daemon holds them all.
+	st2 := openLedger(t, dir)
+	sv := st2.Session(1)
 	if sv == nil || len(sv.Gens) != loads {
 		t.Fatalf("ledger holds %d generations, want %d", len(sv.Gens), loads)
 	}
@@ -227,8 +234,13 @@ func TestSoakStream(t *testing.T) {
 			t.Fatalf("gen %d not settled", i+1)
 		}
 	}
-	if forks := st.Forks(); len(forks) != 0 {
-		t.Fatalf("stream forked the evidence: %v", forks)
+	for _, st := range []*ledger.Store{st, st2} {
+		if forks := st.Forks(); len(forks) != 0 {
+			t.Fatalf("stream forked the evidence: %v", forks)
+		}
+	}
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	waitFor(t, "goroutines to settle", func() bool {

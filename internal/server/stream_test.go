@@ -283,35 +283,12 @@ func TestStreamLedgerCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restart over mid-stream crash: %v", err)
 	}
-	sv := st3.Session(1)
-	if sv == nil || len(sv.Gens) != settled+opens {
+	// Recovery forgot every generation it replayed or settled.
+	if sv := st3.Session(1); sv == nil || sv.Opened != settled+opens || len(sv.Gens) != 0 {
 		t.Fatalf("recovered session damaged: %+v", sv)
-	}
-	for i, gv := range sv.Gens {
-		if gv.Settle.IsZero() {
-			t.Fatalf("gen %d not settled after recovery", i+1)
-		}
 	}
 	if forks := st3.Forks(); len(forks) != 0 {
 		t.Fatalf("pipelined resume forked the evidence: %v", forks)
-	}
-	for i, gv := range sv.Gens[:settled] {
-		rec, err := st3.Get(gv.Settle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(rec.Payload, acked[i]) {
-			t.Fatalf("gen %d settle differs from the streamed ack", i+1)
-		}
-	}
-	for i, gv := range sv.Gens[settled:] {
-		rec, err := st3.Get(gv.Settle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(rec.Payload, wantOpen[i]) {
-			t.Fatalf("resumed gen %d settled differently from the uninterrupted run", settled+i+1)
-		}
 	}
 
 	// The recovered warm session serves a fresh stream.
@@ -326,8 +303,46 @@ func TestStreamLedgerCrashRecovery(t *testing.T) {
 		t.Fatalf("stream after recovery: se=%+v err=%v", se, err)
 	}
 	c3.Close()
+	shutdownServer(t, s3)
+	if err := st3.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	rep, err := server.AuditLedger(st3, server.AuditOptions{Strict: true, MaxTheoremCells: 1, Logf: t.Logf})
+	// The reopened log holds the whole history: every generation settled.
+	st4 := openLedger(t, dir)
+	defer st4.Close()
+	sv := st4.Session(1)
+	if sv == nil || len(sv.Gens) != settled+opens+2 {
+		t.Fatalf("recovered session damaged: %+v", sv)
+	}
+	for i, gv := range sv.Gens {
+		if gv.Settle.IsZero() {
+			t.Fatalf("gen %d not settled after recovery", i+1)
+		}
+	}
+	if forks := st4.Forks(); len(forks) != 0 {
+		t.Fatalf("pipelined resume forked the evidence: %v", forks)
+	}
+	for i, gv := range sv.Gens[:settled] {
+		rec, err := st4.Get(gv.Settle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec.Payload, acked[i]) {
+			t.Fatalf("gen %d settle differs from the streamed ack", i+1)
+		}
+	}
+	for i, gv := range sv.Gens[settled : settled+opens] {
+		rec, err := st4.Get(gv.Settle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec.Payload, wantOpen[i]) {
+			t.Fatalf("resumed gen %d settled differently from the uninterrupted run", settled+i+1)
+		}
+	}
+
+	rep, err := server.AuditLedger(st4, server.AuditOptions{Strict: true, MaxTheoremCells: 1, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("audit: %v", err)
 	}
@@ -336,9 +351,5 @@ func TestStreamLedgerCrashRecovery(t *testing.T) {
 			t.Errorf("audit violation: %s", v)
 		}
 		t.Fatalf("audit found %d violations", rep.Summary.Violations)
-	}
-	shutdownServer(t, s3)
-	if err := st3.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
