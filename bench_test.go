@@ -54,18 +54,12 @@ func BenchmarkA1Scaling(b *testing.B)          { benchExperiment(b, "A1") }
 func BenchmarkA2PaymentOverhead(b *testing.B)  { benchExperiment(b, "A2") }
 func BenchmarkA3ProtocolOverhead(b *testing.B) { benchExperiment(b, "A3") }
 func BenchmarkE9Dynamics(b *testing.B)         { benchExperiment(b, "E9") }
-func BenchmarkA4Topologies(b *testing.B)       { benchExperiment(b, "A4") }
 func BenchmarkA5FineCalibration(b *testing.B)  { benchExperiment(b, "A5") }
-func BenchmarkA6AffineStartup(b *testing.B)    { benchExperiment(b, "A6") }
 func BenchmarkA7Multiround(b *testing.B)       { benchExperiment(b, "A7") }
-func BenchmarkA8BusMechanism(b *testing.B)     { benchExperiment(b, "A8") }
-func BenchmarkA9TreeMechanism(b *testing.B)    { benchExperiment(b, "A9") }
-func BenchmarkA10ResultReturns(b *testing.B)   { benchExperiment(b, "A10") }
 func BenchmarkA11Collusion(b *testing.B)       { benchExperiment(b, "A11") }
 func BenchmarkE10Evolution(b *testing.B)       { benchExperiment(b, "E10") }
 func BenchmarkA12Conditioning(b *testing.B)    { benchExperiment(b, "A12") }
 func BenchmarkA13LPOracle(b *testing.B)        { benchExperiment(b, "A13") }
-func BenchmarkA14TreeProtocol(b *testing.B)    { benchExperiment(b, "A14") }
 func BenchmarkE11Market(b *testing.B)          { benchExperiment(b, "E11") }
 func BenchmarkA15Scenarios(b *testing.B)       { benchExperiment(b, "A15") }
 
@@ -173,8 +167,8 @@ func BenchmarkProtocolRound(b *testing.B) {
 // BenchmarkProtocolSessionRound measures the protocol fast path: a
 // steady-state round on a warm Session, where keys, PKI verification memos,
 // sign memos, channels, and scratch arenas all persist across rounds. This
-// is the deployment shape for repeated rounds (the market/dynamics
-// experiments) and the headline number of the wire-codec + batch-verify +
+// is the deployment shape for repeated rounds (the served daemon's pooled
+// sessions) and the headline number of the wire-codec + batch-verify +
 // pooling optimization; BenchmarkProtocolRound above remains the cold
 // (fresh-session) reference.
 func BenchmarkProtocolSessionRound(b *testing.B) {
@@ -223,49 +217,6 @@ func BenchmarkEvaluate(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := core.EvaluateInto(&out, n, rep, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkSolveTreeBinary(b *testing.B) {
-	r := xrand.New(1)
-	w := make([]float64, 255)
-	for i := range w {
-		w[i] = r.Uniform(0.5, 3)
-	}
-	var build func(i int) *dlt.TreeNode
-	build = func(i int) *dlt.TreeNode {
-		node := &dlt.TreeNode{W: w[i]}
-		if 2*i+1 < len(w) {
-			node.Children = append(node.Children, dlt.TreeEdge{Z: 0.1, Node: build(2*i + 1)})
-		}
-		if 2*i+2 < len(w) {
-			node.Children = append(node.Children, dlt.TreeEdge{Z: 0.1, Node: build(2*i + 2)})
-		}
-		return node
-	}
-	root := build(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dlt.SolveTree(root); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSolveAffine(b *testing.B) {
-	for _, m := range []int{8, 32, 128} {
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			n := workload.Chain(xrand.New(1), workload.DefaultChainSpec(m))
-			af := dlt.WithUniformStartup(n, 0.05, 0.05)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := dlt.SolveAffine(af, 1, 1e-10); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -9,10 +9,9 @@
 //
 //   - Scheduling (Divisible Load Theory): Schedule runs the LINEAR
 //     BOUNDARY-LINEAR algorithm — the classical optimal allocation in which
-//     every processor participates and all finish simultaneously. Solvers
-//     for bus, star, tree and interior-origination networks are exported
-//     alongside, plus a discrete-event simulator (Simulate) that regenerates
-//     the paper's Gantt chart and executes off-plan deviations.
+//     every processor participates and all finish simultaneously — and a
+//     discrete-event simulator (Simulate) regenerates the paper's Gantt
+//     chart and executes off-plan deviations.
 //
 //   - Mechanism economics: EvaluateMechanism prices a run — the compensation,
 //     recompense and bonus payments of equations (4.4)-(4.11) — given the
@@ -60,18 +59,6 @@ type Network = dlt.Network
 // Allocation is the solution of the LINEAR BOUNDARY-LINEAR problem.
 type Allocation = dlt.Allocation
 
-// Topology solvers and models beyond the boundary chain.
-type (
-	// Bus is a shared-bus network (the DLS-BL prior-work baseline).
-	Bus = dlt.Bus
-	// Star is a single-level tree with private links.
-	Star = dlt.Star
-	// TreeNode is a node of an arbitrary tree network.
-	TreeNode = dlt.TreeNode
-	// TreeEdge links a TreeNode to a child subtree.
-	TreeEdge = dlt.TreeEdge
-)
-
 // NewNetwork builds and validates a network from processor times w (length
 // m+1) and link times z (length m).
 func NewNetwork(w, z []float64) (*Network, error) { return dlt.NewNetwork(w, z) }
@@ -92,38 +79,6 @@ func Makespan(n *Network, alpha []float64) float64 { return dlt.Makespan(n, alph
 // of the processors with positive load — ~0 iff the allocation realizes the
 // Theorem 2.1 equal-finish optimality principle.
 func FinishSpread(n *Network, alpha []float64) float64 { return dlt.FinishSpread(n, alpha) }
-
-// ScheduleBus, ScheduleStar, ScheduleTree and ScheduleInterior solve the
-// companion topologies. See the dlt package docs for the models.
-func ScheduleBus(b *Bus) (*dlt.BusAllocation, error) { return dlt.SolveBus(b) }
-
-// ScheduleStar solves a star with the optimal (ascending link time) order.
-func ScheduleStar(s *Star) (*dlt.StarAllocation, error) { return dlt.SolveStarBestOrder(s) }
-
-// ScheduleTree solves an arbitrary tree network by recursive reduction.
-func ScheduleTree(root *TreeNode) (*dlt.TreeAllocation, error) { return dlt.SolveTree(root) }
-
-// ScheduleInterior solves a chain whose load originates at interior
-// position root.
-func ScheduleInterior(n *Network, root int) (*dlt.InteriorAllocation, error) {
-	return dlt.SolveInterior(n, root)
-}
-
-// AffineNetwork augments a chain with communication and computation startup
-// costs, relaxing the paper's assumption (i).
-type AffineNetwork = dlt.AffineNetwork
-
-// WithUniformStartup wraps a network with constant startup costs.
-func WithUniformStartup(n *Network, zc, wc float64) *AffineNetwork {
-	return dlt.WithUniformStartup(n, zc, wc)
-}
-
-// ScheduleAffine solves the LINEAR BOUNDARY-AFFINE problem: minimum
-// makespan for `load` units under affine (startup + linear) costs. Distant
-// processors may legitimately receive no load.
-func ScheduleAffine(af *AffineNetwork, load float64) (*dlt.AffineAllocation, error) {
-	return dlt.SolveAffine(af, load, 0)
-}
 
 // --- Simulation layer --------------------------------------------------------
 
@@ -208,55 +163,6 @@ func EvaluateTruthful(trueNet *Network, cfg Config) (*Outcome, error) {
 // utilities — the measurable form of Theorem 5.3 (the curve peaks at 1).
 func UtilityCurve(trueNet *Network, i int, factors []float64, cfg Config) ([]float64, error) {
 	return core.UtilityCurve(trueNet, i, factors, cfg)
-}
-
-// BusReport describes worker behavior for the bus mechanism.
-type BusReport = core.BusReport
-
-// BusOutcome is the priced bus run.
-type BusOutcome = core.BusOutcome
-
-// EvaluateBusMechanism prices one run of DLS-BL, the authors' earlier
-// strategyproof mechanism for bus networks (reference [14]), reconstructed
-// with the same payment architecture as DLS-LBL.
-func EvaluateBusMechanism(trueBus *Bus, rep BusReport, cfg Config) (*BusOutcome, error) {
-	return core.EvaluateBus(trueBus, rep, cfg)
-}
-
-// TreeReport and TreeOutcome belong to DLS-T, the tree-network mechanism
-// (reference [9], reconstructed); it subsumes the paper's interior-
-// origination future work (an interior-rooted chain is a two-armed tree).
-type (
-	// TreeReport describes tree nodes' bids and measured speeds (preorder).
-	TreeReport = core.TreeReport
-	// TreeOutcome is the priced tree run.
-	TreeOutcome = core.TreeOutcome
-)
-
-// EvaluateTreeMechanism prices one run of DLS-T on the true tree.
-func EvaluateTreeMechanism(trueRoot *TreeNode, rep TreeReport, cfg Config) (*TreeOutcome, error) {
-	return core.EvaluateTree(trueRoot, rep, cfg)
-}
-
-// TreeTruthfulReport builds the honest report for a tree.
-func TreeTruthfulReport(trueRoot *TreeNode) TreeReport { return core.TreeTruthfulReport(trueRoot) }
-
-// Result-return modeling (relaxing assumption (iii)).
-type (
-	// ReturnSpec configures a run with δ-scaled result returns.
-	ReturnSpec = des.ReturnSpec
-	// ReturnResult reports compute and total (returns included) makespans.
-	ReturnResult = des.ReturnResult
-)
-
-// SimulateWithReturns executes an allocation and ships results back to the
-// root hop by hop.
-func SimulateWithReturns(spec ReturnSpec) (*ReturnResult, error) { return des.RunWithReturns(spec) }
-
-// ReturnAwareAlloc allocates with the round trip of each processor's
-// results priced in.
-func ReturnAwareAlloc(n *Network, delta float64) ([]float64, error) {
-	return des.ReturnAwareAlloc(n, delta)
 }
 
 // Best-response bidding dynamics (the paper's motivation, quantified).
@@ -372,17 +278,6 @@ func DefaultRecovery() RecoveryConfig { return protocol.DefaultRecovery() }
 func RunProtocolWithRecovery(p ProtocolParams) (*RecoveryResult, error) {
 	return protocol.RunWithRecovery(p)
 }
-
-// TreeProtocolParams configures a distributed DLS-T run.
-type TreeProtocolParams = protocol.TreeParams
-
-// TreeProtocolResult is its outcome.
-type TreeProtocolResult = protocol.TreeResult
-
-// RunTreeProtocol executes the DLS-T verification protocol on a tree
-// network — the distributed form of the paper's future work. On a
-// chain-shaped tree it prices runs identically to RunProtocol.
-func RunTreeProtocol(p TreeProtocolParams) (*TreeProtocolResult, error) { return protocol.RunTree(p) }
 
 // --- Observability --------------------------------------------------------------
 

@@ -78,42 +78,6 @@ func TestProtocolFacade(t *testing.T) {
 	}
 }
 
-func TestTopologyFacade(t *testing.T) {
-	bus, err := ScheduleBus(&Bus{W0: 1, W: []float64{2, 3}, Z: 0.2})
-	if err != nil || bus.T <= 0 {
-		t.Fatalf("bus: %v %v", bus, err)
-	}
-	star, err := ScheduleStar(&Star{W0: 1, W: []float64{2, 3}, Z: []float64{0.2, 0.1}})
-	if err != nil || star.T <= 0 {
-		t.Fatalf("star: %v %v", star, err)
-	}
-	tree, err := ScheduleTree(&TreeNode{W: 1, Children: []TreeEdge{{Z: 0.2, Node: &TreeNode{W: 2}}}})
-	if err != nil || tree.T <= 0 {
-		t.Fatalf("tree: %v %v", tree, err)
-	}
-	net, _ := NewNetwork([]float64{1, 2, 3}, []float64{0.2, 0.1})
-	ia, err := ScheduleInterior(net, 1)
-	if err != nil || ia.T <= 0 {
-		t.Fatalf("interior: %v %v", ia, err)
-	}
-}
-
-func TestAffineFacade(t *testing.T) {
-	net, _ := NewNetwork([]float64{1, 1, 1}, []float64{0.1, 0.1})
-	af := WithUniformStartup(net, 0.05, 0.05)
-	sol, err := ScheduleAffine(af, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, a := range sol.Alpha {
-		sum += a
-	}
-	if math.Abs(sum-2) > 1e-6 {
-		t.Fatalf("affine alphas sum to %v", sum)
-	}
-}
-
 func TestMultiroundFacade(t *testing.T) {
 	net, _ := NewNetwork([]float64{1, 1, 1, 1}, []float64{0.05, 0.05, 0.05})
 	single, _ := Simulate(net)
@@ -130,20 +94,6 @@ func TestMultiroundFacade(t *testing.T) {
 	}
 	if _, err := EqualInstallments(net, 1, 4); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBusMechanismFacade(t *testing.T) {
-	b := &Bus{W0: 1, W: []float64{2, 3}, Z: 0.2}
-	rep := BusReport{Bids: []float64{2, 3}}
-	out, err := EvaluateBusMechanism(b, rep, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 1; j <= 2; j++ {
-		if out.Payments[j].Utility < -1e-9 {
-			t.Fatalf("truthful bus worker %d underwater: %v", j, out.Payments[j].Utility)
-		}
 	}
 }
 
@@ -165,57 +115,6 @@ func TestDynamicsFacade(t *testing.T) {
 	}
 }
 
-func TestTreeProtocolFacade(t *testing.T) {
-	root := &TreeNode{W: 1, Children: []TreeEdge{
-		{Z: 0.2, Node: &TreeNode{W: 2}},
-		{Z: 0.1, Node: &TreeNode{W: 1.5}},
-	}}
-	res, err := RunTreeProtocol(TreeProtocolParams{
-		Root: root, Profile: AllTruthful(3), Cfg: DefaultConfig(), Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed || len(res.Detections) != 0 {
-		t.Fatalf("truthful tree protocol run failed: %+v", res)
-	}
-}
-
-func TestTreeMechanismFacade(t *testing.T) {
-	root := &TreeNode{W: 1, Children: []TreeEdge{
-		{Z: 0.2, Node: &TreeNode{W: 2}},
-		{Z: 0.1, Node: &TreeNode{W: 1.5}},
-	}}
-	out, err := EvaluateTreeMechanism(root, TreeTruthfulReport(root), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(out.Payments); i++ {
-		if out.Payments[i].Utility < -1e-9 {
-			t.Fatalf("truthful tree node %d underwater: %v", i, out.Payments[i].Utility)
-		}
-	}
-}
-
-func TestReturnsFacade(t *testing.T) {
-	net, _ := NewNetwork([]float64{1, 1, 1}, []float64{0.2, 0.2})
-	plan, _ := Schedule(net)
-	res, err := SimulateWithReturns(ReturnSpec{Net: net, Alpha: plan.Alpha, Delta: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalMakespan <= res.ComputeMakespan {
-		t.Fatal("returns added no time")
-	}
-	aware, err := ReturnAwareAlloc(net, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(aware) != net.Size() {
-		t.Fatalf("aware alloc length %d", len(aware))
-	}
-}
-
 func TestScenariosFacade(t *testing.T) {
 	if len(Scenarios()) == 0 {
 		t.Fatal("no scenarios")
@@ -231,7 +130,7 @@ func TestScenariosFacade(t *testing.T) {
 
 func TestExperimentsFacade(t *testing.T) {
 	ids := ExperimentIDs()
-	if len(ids) != 28 {
+	if len(ids) != 22 {
 		t.Fatalf("%d experiments registered", len(ids))
 	}
 	rep, err := RunExperiment("F3", 1)

@@ -67,17 +67,6 @@ func ExampleRunProtocol() {
 	// run completed: true
 }
 
-// The bus-network baseline: the same payment architecture on a shared bus.
-func ExampleEvaluateBusMechanism() {
-	bus := &dlsmech.Bus{W0: 1, W: []float64{2, 3}, Z: 0.25}
-	out, _ := dlsmech.EvaluateBusMechanism(bus, dlsmech.BusReport{Bids: []float64{2, 3}}, dlsmech.DefaultConfig())
-	fmt.Printf("bus makespan %.4f\n", out.Plan.T)
-	fmt.Printf("worker 1 utility %.4f\n", out.Payments[1].Utility)
-	// Output:
-	// bus makespan 0.5821
-	// worker 1 utility 0.4179
-}
-
 // Best-response dynamics: under the mechanism the market equilibrium is the
 // truthful profile, so the realized schedule stays optimal.
 func ExampleRunDynamics() {

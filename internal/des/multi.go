@@ -16,7 +16,7 @@ import (
 // chain pipeline: P_i forwards installment r while still receiving
 // installment r+1, which cuts the store-and-forward ramp-up roughly by a
 // factor of R. With per-transfer startup costs the benefit reverses past an
-// optimal R — the classic multiround trade-off, measured by experiment A6.
+// optimal R — the classic multiround trade-off, measured by experiment A7.
 
 // Round is one installment: its share of the total load and the local
 // fractions used to split it down the chain.
@@ -264,7 +264,7 @@ func OptimalInstallments(n *dlt.Network, load float64, maxR int, startup float64
 // parallelism bound 1/Σ(1/w_i) whenever the links can sustain the flow.
 // This is the plan multiround scheduling actually benefits from — keeping
 // the single-round optimal fractions leaves the root the bottleneck and
-// gains nothing (experiment A6 shows both).
+// gains nothing (experiment A7 shows both).
 func FluidInstallments(n *dlt.Network, load float64, rounds int) ([]Round, error) {
 	if rounds < 1 {
 		return nil, fmt.Errorf("%w: rounds=%d", ErrSpecHat, rounds)

@@ -13,10 +13,8 @@
 //
 // Beyond the linear-boundary solver (Algorithm 1 of the paper) the package
 // provides the finish-time formulas (2.1)-(2.2), the two-processor reduction
-// (2.3)-(2.7), naive baseline allocators, and optimal-allocation solvers for
-// the related topologies from the prior-work mechanisms the paper builds on:
-// bus networks, star networks, arbitrary trees, and linear networks with
-// interior load origination (the "other type" of Sect. 2).
+// (2.3)-(2.7), naive baseline allocators, and an exact (big.Rat) solver that
+// serves as the float solver's differential oracle.
 package dlt
 
 import (

@@ -20,7 +20,6 @@ func init() {
 	register("A1", "Makespan scaling and speedup saturation", runA1)
 	register("A2", "Payment overhead (price of incentives)", runA2)
 	register("A3", "Protocol overhead (messages, crypto, wall clock)", runA3)
-	register("A4", "Topology comparison (bus/star/tree/interior)", runA4)
 	register("A5", "Fine calibration (cheating-profit envelope)", runA5)
 }
 
@@ -184,95 +183,6 @@ func runA3(seed uint64) (*Report, error) {
 	rep.check(linearMessages, "message complexity is exactly 4m+1 (linear in chain length)")
 	rep.addFinding("signatures/verifications are O(m); wall-clock is dominated by ed25519")
 	return rep, nil
-}
-
-// runA4 compares the linear boundary chain with the other topologies the
-// DLT-mechanism literature covers, on the same processor multiset: bus
-// (shared link), star (private links), balanced binary tree, and the linear
-// chain rooted at its middle (interior origination).
-func runA4(seed uint64) (*Report, error) {
-	rep := &Report{ID: "A4", Title: "Topology comparison", Paper: "prior-work baselines [9,14] + Sect. 2 interior case"}
-	r := xrand.New(seed)
-	const trials = 10
-
-	tb := table.New("A4: optimal makespans on the same processors (means; link unit time 0.2)",
-		"m+1", "chain (boundary)", "chain (interior mid)", "bus", "star", "binary tree")
-	interiorWins, starBeatsBus := true, true
-	for _, size := range []int{3, 5, 9, 17, 33} {
-		var chainMk, intMk, busMk, starMk, treeMk []float64
-		for t := 0; t < trials; t++ {
-			w := make([]float64, size)
-			for i := range w {
-				w[i] = r.Uniform(0.5, 3)
-			}
-			const z = 0.2
-			zs := make([]float64, size-1)
-			for i := range zs {
-				zs[i] = z
-			}
-			chain, err := dlt.NewNetwork(w, zs)
-			if err != nil {
-				return nil, err
-			}
-			chainMk = append(chainMk, dlt.MustSolveBoundary(chain).Makespan())
-
-			ia, err := dlt.SolveInterior(chain, size/2)
-			if err != nil {
-				return nil, err
-			}
-			intMk = append(intMk, ia.T)
-
-			bus, err := dlt.SolveBus(&dlt.Bus{W0: w[0], W: w[1:], Z: z})
-			if err != nil {
-				return nil, err
-			}
-			busMk = append(busMk, bus.T)
-
-			star := &dlt.Star{W0: w[0], W: w[1:], Z: zs}
-			ss, err := dlt.SolveStarBestOrder(star)
-			if err != nil {
-				return nil, err
-			}
-			starMk = append(starMk, ss.T)
-
-			tree, err := dlt.SolveTree(binaryTree(w, z))
-			if err != nil {
-				return nil, err
-			}
-			treeMk = append(treeMk, tree.T)
-		}
-		mc, mi, mb, ms, mt := stats.Mean(chainMk), stats.Mean(intMk), stats.Mean(busMk), stats.Mean(starMk), stats.Mean(treeMk)
-		if mi > mc+1e-9 {
-			interiorWins = false
-		}
-		if ms > mb+1e-9 {
-			starBeatsBus = false
-		}
-		tb.AddRowValues(size, mc, mi, mb, ms, mt)
-	}
-	rep.Tables = append(rep.Tables, tb)
-	rep.check(interiorWins, "interior origination never loses to boundary origination on the same chain")
-	rep.check(starBeatsBus, "private star links never lose to a shared bus of the same speed")
-	rep.addFinding("shape: bus/star flatten with size (link serialization); tree sits between star and chain")
-	return rep, nil
-}
-
-// binaryTree arranges the processors into a balanced binary tree with
-// uniform link time z, root first.
-func binaryTree(w []float64, z float64) *dlt.TreeNode {
-	nodes := make([]*dlt.TreeNode, len(w))
-	for i := range w {
-		nodes[i] = &dlt.TreeNode{W: w[i]}
-	}
-	for i := range nodes {
-		if 2*i+1 < len(nodes) {
-			nodes[i].Children = append(nodes[i].Children, dlt.TreeEdge{Z: z, Node: nodes[2*i+1]})
-		}
-		if 2*i+2 < len(nodes) {
-			nodes[i].Children = append(nodes[i].Children, dlt.TreeEdge{Z: z, Node: nodes[2*i+2]})
-		}
-	}
-	return nodes[0]
 }
 
 // runA5 measures the cheating-profit envelope the fine F must dominate

@@ -10,16 +10,13 @@ import (
 	"dlsmech/internal/plot"
 	"dlsmech/internal/stats"
 	"dlsmech/internal/table"
-	"dlsmech/internal/verify"
 	"dlsmech/internal/workload"
 	"dlsmech/internal/xrand"
 )
 
 func init() {
 	register("E9", "Best-response dynamics: DLS-LBL vs a naive contract", runE9)
-	register("A6", "Affine startup costs (dropping assumption (i))", runA6)
 	register("A7", "Multi-installment scheduling (multiround, ref [21])", runA7)
-	register("A8", "DLS-BL bus mechanism (prior-work baseline, ref [14])", runA8)
 }
 
 // runE9 quantifies the paper's motivation: plain DLT deployed among selfish
@@ -76,49 +73,6 @@ func runE9(seed uint64) (*Report, error) {
 	rep.check(naiveInflates, "under the declared-cost contract bids inflate away from the truth")
 	rep.check(naiveWorse > naiveRuns/2,
 		"the naive contract degrades the realized makespan in %d/%d runs", naiveWorse, naiveRuns)
-	return rep, nil
-}
-
-// runA6 drops the paper's assumption (i) (negligible startup time): with
-// affine costs the optimal schedule uses fewer processors and the makespan
-// rises; the experiment sweeps the startup scale.
-func runA6(seed uint64) (*Report, error) {
-	rep := &Report{ID: "A6", Title: "Affine startup costs", Paper: "Sect. 2 assumption (i), relaxed"}
-	r := xrand.New(seed)
-	n := workload.Chain(r, workload.DefaultChainSpec(11))
-	linear := dlt.MustSolveBoundary(n).Makespan()
-
-	tb := table.New("A6: uniform startup sweep on a 12-processor chain (unit load)",
-		"startup zc=wc", "makespan", "vs linear model", "participants")
-	prevMk := 0.0
-	monotoneMk, participationShrinks := true, true
-	firstParticipants, lastParticipants := 0, 0
-	for idx, s := range []float64{0, 0.01, 0.05, 0.1, 0.2, 0.4, 0.8} {
-		af := dlt.WithUniformStartup(n, s, s)
-		sol, err := dlt.SolveAffine(af, 1, 1e-11)
-		if err != nil {
-			return nil, err
-		}
-		if sol.Makespan < prevMk-1e-9 {
-			monotoneMk = false
-		}
-		prevMk = sol.Makespan
-		if idx == 0 {
-			firstParticipants = sol.Participants
-			if math.Abs(sol.Makespan-linear) > 1e-6*linear {
-				monotoneMk = false
-			}
-		}
-		lastParticipants = sol.Participants
-		tb.AddRowValues(s, sol.Makespan, sol.Makespan/linear, sol.Participants)
-	}
-	if lastParticipants >= firstParticipants {
-		participationShrinks = false
-	}
-	rep.Tables = append(rep.Tables, tb)
-	rep.check(monotoneMk, "makespan is monotone in the startup scale and matches the linear model at 0")
-	rep.check(participationShrinks, "large startups push distant processors out of the schedule (%d → %d participants)",
-		firstParticipants, lastParticipants)
 	return rep, nil
 }
 
@@ -205,68 +159,4 @@ func negate(xs []float64) []float64 {
 		out[i] = -x
 	}
 	return out
-}
-
-// runA8 validates the reconstructed prior-work bus mechanism (DLS-BL):
-// pairwise reduction equals SolveBus, truthful utilities are non-negative,
-// and the bid grid shows strategyproofness — the same properties as the
-// chain mechanism, on the baseline topology.
-func runA8(seed uint64) (*Report, error) {
-	rep := &Report{ID: "A8", Title: "DLS-BL bus mechanism", Paper: "prior work [14], reconstructed"}
-	cfg := core.DefaultConfig()
-	r := xrand.New(seed)
-	const trials = 15
-
-	tb := table.New("A8: bus-mechanism properties over random buses ("+table.Cell(trials)+" per m)",
-		"m", "max |pair−SolveBus|", "min truthful utility", "max deviation gain")
-	pairOK, participation, strategyproof := true, true, true
-	for _, m := range []int{1, 2, 4, 8} {
-		var worstPair, minU, worstGain float64
-		minU = math.Inf(1)
-		worstGain = math.Inf(-1)
-		for t := 0; t < trials; t++ {
-			w := make([]float64, m)
-			for i := range w {
-				w[i] = r.Uniform(0.5, 4)
-			}
-			b := &dlt.Bus{W0: r.Uniform(0.5, 4), W: w, Z: r.Uniform(0.05, 0.8)}
-			out, err := core.EvaluateBus(b, core.BusTruthfulReport(b), cfg)
-			if err != nil {
-				return nil, err
-			}
-			x0 := out.Q[1] / (b.W0 + out.Q[1])
-			if d := math.Abs(x0*b.W0 - out.Plan.T); d > worstPair {
-				worstPair = d
-			}
-			for j := 1; j <= m; j++ {
-				if u := out.Payments[j].Utility; u < minU {
-					minU = u
-				}
-			}
-			gain, err := verify.BusStrategyproofGain(b, cfg)
-			if err != nil {
-				return nil, err
-			}
-			if gain > worstGain {
-				worstGain = gain
-			}
-		}
-		if worstPair > 1e-9 {
-			pairOK = false
-		}
-		if minU < -1e-12 {
-			participation = false
-		}
-		if worstGain > verify.GainTol {
-			strategyproof = false
-		}
-		tb.AddRowValues(m, worstPair, minU, worstGain)
-	}
-	rep.Tables = append(rep.Tables, tb)
-	rep.check(pairOK, "pairwise bus reduction reproduces SolveBus exactly")
-	rep.check(participation, "truthful bus workers never lose")
-	rep.check(strategyproof, "no bid deviation gains on the grid")
-	rep.addFinding("the DLS-LBL payment architecture transfers to the bus topology unchanged "+
-		"(bonus = predecessor standalone time − realized pair equivalent); F=%.3g, q=%.3g", cfg.Fine, cfg.AuditProb)
-	return rep, nil
 }

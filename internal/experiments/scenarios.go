@@ -16,40 +16,31 @@ func init() {
 	register("A15", "End-to-end pipeline on the workload catalogue", runA15)
 }
 
-// runA15 runs the whole stack — optimal scheduling, best entry point,
-// truthful mechanism pricing, signed protocol — on every catalogue scenario
-// and reports the headline numbers a deployment would care about: speedup
-// over no distribution, where the data should enter the chain, what the
-// incentives cost, and that the protocol realizes the analytic economics on
-// each scenario.
+// runA15 runs the whole stack — optimal scheduling, truthful mechanism
+// pricing, signed protocol — on every catalogue scenario and reports the
+// headline numbers a deployment would care about: speedup over no
+// distribution, what the incentives cost, and that the protocol realizes the
+// analytic economics on each scenario.
 func runA15(seed uint64) (*Report, error) {
 	rep := &Report{ID: "A15", Title: "Scenario catalogue, end to end", Paper: "all layers, per deployment scenario"}
 	cfg := core.DefaultConfig()
 
 	tb := table.New("A15: catalogue scenarios (unit-load quantities scale linearly with the load)",
-		"scenario", "m+1", "makespan", "speedup", "best entry", "entry gain", "payment overhead", "protocol = analytic")
+		"scenario", "m+1", "makespan", "speedup", "payment overhead", "protocol = analytic")
 	allAgree, allSpeedup := true, true
 	// The catalogue is a fixed list and each scenario runs the full stack
 	// independently (the protocol run is the expensive part), so the
 	// scenarios fan out; rows land in catalogue order.
 	scs := workload.Scenarios()
 	type a15Row struct {
-		makespan, speedup, entryGain, overhead float64
-		bestRoot                               int
-		agree                                  bool
+		makespan, speedup, overhead float64
+		agree                       bool
 	}
 	rows, err := parallel.Map(trialWorkers(), len(scs), func(k int) (a15Row, error) {
 		n := scs[k].Net
 		sol := dlt.MustSolveBoundary(n)
 		row := a15Row{makespan: sol.Makespan()}
 		row.speedup = n.W[0] / sol.Makespan() // vs computing everything at the root
-
-		bestRoot, bestIA, err := dlt.BestInteriorRoot(n)
-		if err != nil {
-			return row, err
-		}
-		row.bestRoot = bestRoot
-		row.entryGain = sol.Makespan() / bestIA.T
 
 		out, err := core.EvaluateTruthful(n, cfg)
 		if err != nil {
@@ -87,13 +78,10 @@ func runA15(seed uint64) (*Report, error) {
 		if row.speedup <= 1 {
 			allSpeedup = false
 		}
-		tb.AddRowValues(scs[k].Name, scs[k].Net.Size(), row.makespan, row.speedup,
-			row.bestRoot, row.entryGain, row.overhead, row.agree)
+		tb.AddRowValues(scs[k].Name, scs[k].Net.Size(), row.makespan, row.speedup, row.overhead, row.agree)
 	}
 	rep.Tables = append(rep.Tables, tb)
 	rep.check(allSpeedup, "every scenario gains from distribution")
 	rep.check(allAgree, "on every scenario the signed protocol realizes the analytic payments exactly")
-	rep.addFinding("entry-point gain: moving the data's landing point to the best interior processor " +
-		"is worth up to ~2x on symmetric chains (homogeneous-rack) and little on short WAN chains")
 	return rep, nil
 }

@@ -162,35 +162,6 @@ func TestScheduleLPSingleProcessor(t *testing.T) {
 	almost(t, got, 2.5, 1e-9, "single-processor LP")
 }
 
-func TestBusLPMatchesSolveBus(t *testing.T) {
-	r := xrand.New(3)
-	for trial := 0; trial < 20; trial++ {
-		mw := 1 + r.Intn(8)
-		w := make([]float64, mw)
-		for i := range w {
-			w[i] = r.Uniform(0.5, 4)
-		}
-		b := &dlt.Bus{W0: r.Uniform(0.5, 4), W: w, Z: r.Uniform(0.05, 0.8)}
-		want, err := dlt.SolveBus(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sol, err := BusLP(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(sol.Obj-want.T) > 1e-7*want.T {
-			t.Fatalf("trial %d: bus LP %v vs SolveBus %v", trial, sol.Obj, want.T)
-		}
-	}
-}
-
-func TestBusLPRejectsInvalid(t *testing.T) {
-	if _, err := BusLP(&dlt.Bus{W0: -1}); err == nil {
-		t.Fatal("invalid bus accepted")
-	}
-}
-
 func TestScheduleLPRejectsInvalid(t *testing.T) {
 	bad := &dlt.Network{W: []float64{-1}, Z: []float64{0}}
 	if _, err := ScheduleLP(bad); err == nil {

@@ -67,45 +67,3 @@ func ScheduleLPMakespan(n *dlt.Network) (float64, error) {
 	}
 	return sol.Obj, nil
 }
-
-// BusLP formulates the bus-network problem as an LP: variables
-// (α_0..α_m, T), minimize T subject to Σα = 1 and
-//
-//	α_0·w_0 ≤ T
-//	Z·Σ_{k≤i} α_k + α_i·w_i ≤ T   for each worker i (1-based),
-//
-// cross-validating dlt.SolveBus.
-func BusLP(b *dlt.Bus) (*Solution, error) {
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	mw := len(b.W)
-	nv := mw + 2 // α_0..α_mw, T
-
-	p := Problem{Name: "bus", C: make([]float64, nv)}
-	p.C[nv-1] = 1
-
-	eq := make([]float64, nv)
-	for i := 0; i <= mw; i++ {
-		eq[i] = 1
-	}
-	p.E = [][]float64{eq}
-	p.F = []float64{1}
-
-	root := make([]float64, nv)
-	root[0] = b.W0
-	root[nv-1] = -1
-	p.A = append(p.A, root)
-	p.B = append(p.B, 0)
-	for i := 1; i <= mw; i++ {
-		row := make([]float64, nv)
-		for k := 1; k <= i; k++ {
-			row[k] = b.Z
-		}
-		row[i] += b.W[i-1]
-		row[nv-1] = -1
-		p.A = append(p.A, row)
-		p.B = append(p.B, 0)
-	}
-	return Solve(p)
-}

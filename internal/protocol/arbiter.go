@@ -56,13 +56,6 @@ func (a *arbiter) reset() {
 	clear(a.reported)
 }
 
-// terminate aborts the run (idempotent).
-func (a *arbiter) terminate(reason string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.terminateLocked(reason)
-}
-
 func (a *arbiter) terminateLocked(reason string) {
 	if a.terminated {
 		return

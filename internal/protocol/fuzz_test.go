@@ -4,7 +4,13 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"dlsmech/internal/wire"
 )
+
+func encodeSlot(kind slotKind, index int, value float64) []byte {
+	return wire.EncodeSlot(kind, index, value)
+}
 
 // FuzzSlotCodec: decodeSlot must never panic on arbitrary bytes and must
 // round-trip everything encodeSlot produces.

@@ -40,10 +40,6 @@ func appendSlot(dst []byte, kind slotKind, index int, value float64) []byte {
 	return wire.AppendSlot(dst, kind, index, value)
 }
 
-func encodeSlot(kind slotKind, index int, value float64) []byte {
-	return wire.EncodeSlot(kind, index, value)
-}
-
 func decodeSlot(payload []byte) (slotKind, int, float64, error) {
 	return wire.DecodeSlot(payload)
 }

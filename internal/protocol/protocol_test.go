@@ -24,6 +24,24 @@ func testNet(t *testing.T) *dlt.Network {
 	return n
 }
 
+// randomChainNet draws a random m-hop chain with processor times in
+// [0.5, 4) and link times in [0.05, 0.5).
+func randomChainNet(r *xrand.Rand, m int) *dlt.Network {
+	w := make([]float64, m+1)
+	z := make([]float64, m)
+	for i := range w {
+		w[i] = r.Uniform(0.5, 4)
+	}
+	for i := range z {
+		z[i] = r.Uniform(0.05, 0.5)
+	}
+	n, err := dlt.NewNetwork(w, z)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
 func runWith(t *testing.T, n *dlt.Network, prof agent.Profile, cfg core.Config, seed uint64) *Result {
 	t.Helper()
 	res, err := Run(Params{Net: n, Profile: prof, Cfg: cfg, Seed: seed})

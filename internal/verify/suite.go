@@ -98,9 +98,6 @@ func (s *Suite) Run() (*Report, error) {
 			run("oracle-exact", one(CheckExactOracle))
 			run("oracle-lp", one(CheckLPOracle))
 			run("oracle-metamorphic", one(CheckMetamorphic))
-			run("bus-mechanism", func() []Verdict {
-				return []Verdict{CheckBusMechanism(busFromChain(net), cfg, seed)}
-			})
 		}
 	}
 	rep.Finish()

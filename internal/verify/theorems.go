@@ -484,39 +484,3 @@ func CheckTheorem54(sc *Scenario) Verdict {
 	}
 	return seal(v)
 }
-
-// CheckBusMechanism verifies the reconstructed DLS-BL baseline on a bus:
-// participation and the shared strategyproofness grid (the A8 properties, as
-// a conformance check).
-func CheckBusMechanism(bus *dlt.Bus, cfg core.Config, seed uint64) Verdict {
-	v := Verdict{
-		Checker: "bus-mechanism",
-		Theorem: "5.3",
-		Seed:    seed,
-		Size:    len(bus.W),
-		Passed:  true,
-		Margin:  math.Inf(1),
-	}
-	out, err := core.EvaluateBus(bus, core.BusTruthfulReport(bus), cfg)
-	if err != nil {
-		return errVerdict(v, err)
-	}
-	for j := 1; j < len(out.Payments); j++ {
-		u := out.Payments[j].Utility
-		note(&v, u+GainTol)
-		if u < -GainTol {
-			fail(&v, u, "bus workers never lose under truth-telling",
-				fmt.Sprintf("worker %d utility %.3g", j, u))
-		}
-	}
-	gain, err := BusStrategyproofGain(bus, cfg)
-	if err != nil {
-		return errVerdict(v, err)
-	}
-	note(&v, GainTol-gain)
-	if gain > GainTol {
-		fail(&v, GainTol-gain, "no bus bid deviation gains on the grid",
-			fmt.Sprintf("grid gain %.3g", gain))
-	}
-	return seal(v)
-}

@@ -18,16 +18,16 @@
 //
 //   - the differential oracle harness (oracle.go): dlt.SolveBoundary and
 //     core.Evaluate cross-checked against internal/dlt/exact.go (big.Rat)
-//     and internal/lp, plus metamorphic invariances (cost/load rescaling,
-//     suffix consistency, bus worker relabeling);
+//     and internal/lp, plus metamorphic invariances (cost/load rescaling
+//     and suffix consistency);
 //
 //   - the suite runner (suite.go, report.go): a seed×size matrix producing
 //     a machine-readable JSON conformance report, driven by cmd/dlsverify.
 //
-// This file holds the shared inequality definitions. Experiments E3/A8 and
-// the best-response oracle in internal/dynamics call these same helpers, so
-// "utility gain over truthful bidding" has exactly one definition in the
-// repository.
+// This file holds the shared inequality definitions. Experiment E3, the
+// Theorem 5.3 checker and the best-response oracle in internal/dynamics call
+// these same helpers, so "utility gain over truthful bidding" has exactly
+// one definition in the repository.
 package verify
 
 import (
@@ -46,8 +46,8 @@ const GainTol = 1e-9
 
 // BidFactors returns the canonical multiplicative bid grid g (bid = t·g)
 // used by the strategyproofness checks everywhere in the repository: the
-// Theorem 5.3 checker, experiment E3's utility curves and experiment A8's
-// bus grid. One grid, one inequality.
+// Theorem 5.3 checker and experiment E3's utility curves. One grid, one
+// inequality.
 func BidFactors() []float64 {
 	return []float64{0.5, 0.7, 0.85, 0.95, 1.0, 1.05, 1.15, 1.3, 1.6, 2.0}
 }
@@ -104,12 +104,6 @@ func finite(x float64) float64 {
 // GainTol.
 func StrategyproofGain(trueNet *dlt.Network, cfg core.Config) (float64, error) {
 	return core.StrategyproofViolation(trueNet, BidFactors(), cfg)
-}
-
-// BusStrategyproofGain is the same inequality for the reconstructed DLS-BL
-// bus mechanism (experiment A8's check).
-func BusStrategyproofGain(trueBus *dlt.Bus, cfg core.Config) (float64, error) {
-	return core.BusStrategyproofViolation(trueBus, BidFactors(), cfg)
 }
 
 // BestBidOnGrid is the shared best-response oracle: it evaluates utility at
