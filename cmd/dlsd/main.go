@@ -52,22 +52,14 @@ func main() {
 
 	reg := obs.NewRegistry()
 	var store *ledger.Store
-	var records, sessions int // the ledger at open
-	var opened time.Duration  // reading, digest-checking and wiring it
 	if *ledgerDir != "" {
-		t0 := time.Now()
-		var err error
-		store, err = ledger.OpenDir(*ledgerDir, 0, ledger.NewMetrics(reg, "dlsd"))
-		if err != nil {
-			log.Fatalf("ledger %s: %v", *ledgerDir, err)
-		}
+		// Listen opens the ledger: crash recovery verifies and replays each
+		// generation as the open's scan reads its close record, and logs one
+		// "recovery:" line with the counts and the time of each stage.
+		store = ledger.Defer(*ledgerDir, 0, ledger.NewMetrics(reg, "dlsd"))
 		defer store.Close()
 		log.Printf("evidence ledger at %s", *ledgerDir)
-		opened = time.Since(t0).Round(time.Millisecond)
-		records, _ = store.Live()
-		sessions = len(store.Sessions())
 	}
-	t2 := time.Now()
 	s, err := server.Listen(server.Config{
 		Addr:                *addr,
 		MaxConns:            *maxConns,
@@ -84,13 +76,6 @@ func main() {
 	})
 	if err != nil {
 		log.Fatal(err)
-	}
-	if store != nil {
-		// Listen ran crash recovery (verify + replay) before binding, and
-		// forgot every generation it replayed.
-		live, _ := store.Live()
-		log.Printf("recovery: %d records, %d sessions, %d live records; open %v, verify+replay %v",
-			records, sessions, live, opened, time.Since(t2).Round(time.Millisecond))
 	}
 
 	if *metricsAddr != "" {

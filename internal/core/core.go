@@ -285,20 +285,15 @@ func paymentFor(j int, zj float64, plan *dlt.Allocation, bids, actualAlpha, actu
 	return p
 }
 
-// WHatAdjusted computes ŵ per (4.10)-(4.11): the equivalent bid of the
-// sub-chain at each position adjusted for that processor's own actual speed.
+// wHatAdjustedInto computes ŵ per (4.10)-(4.11) into a caller-owned slice
+// of the right length: the equivalent bid of the sub-chain at each position
+// adjusted for that processor's own actual speed.
 //
 //	ŵ_m = w̃_m
 //	ŵ_k = α̂_k·w̃_k   if w̃_k ≥ w_k   (ran slower than bid: adjusted)
 //	ŵ_k = w̄_k        if w̃_k < w_k   (ran faster: unchanged)
-func WHatAdjusted(plan *dlt.Allocation, bids, actualW []float64) []float64 {
-	wh := make([]float64, len(bids))
-	wHatAdjustedInto(wh, plan, bids, actualW)
-	return wh
-}
-
-// wHatAdjustedInto is WHatAdjusted writing into a caller-owned slice of the
-// right length. The (4.11) rule applies uniformly to every k < m — including
+//
+// The (4.11) rule applies uniformly to every k < m — including
 // k = 0, where the obedient root always satisfies w̃_0 ≥ w_0 — so a single
 // loop covers the chain and the m = 0 singleton falls out of the ŵ_m = w̃_m
 // terminal case with no special-casing.
@@ -314,19 +309,10 @@ func wHatAdjustedInto(wh []float64, plan *dlt.Allocation, bids, actualW []float6
 	}
 }
 
-// CascadeActual converts an actual local-fraction profile α̃̂ into global
-// actual loads: D̃_0 = 1, α̃_i = D̃_i·h_i, D̃_{i+1} = D̃_i − α̃_i, with the
+// cascadeActualInto converts an actual local-fraction profile α̃̂ into
+// global actual loads, written into a caller-owned slice of the same length
+// as actualHat: D̃_0 = 1, α̃_i = D̃_i·h_i, D̃_{i+1} = D̃_i − α̃_i, with the
 // terminal processor forced to compute everything that reaches it.
-func CascadeActual(actualHat []float64) ([]float64, error) {
-	alpha := make([]float64, len(actualHat))
-	if err := cascadeActualInto(alpha, actualHat); err != nil {
-		return nil, err
-	}
-	return alpha, nil
-}
-
-// cascadeActualInto is CascadeActual writing into a caller-owned slice of the
-// same length as actualHat.
 func cascadeActualInto(alpha, actualHat []float64) error {
 	size := len(actualHat)
 	d := 1.0

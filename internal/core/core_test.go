@@ -367,13 +367,20 @@ func TestSolutionBonusPaid(t *testing.T) {
 	}
 }
 
+// wHatAdjusted is wHatAdjustedInto into a fresh slice.
+func wHatAdjusted(plan *dlt.Allocation, bids, actualW []float64) []float64 {
+	wh := make([]float64, len(bids))
+	wHatAdjustedInto(wh, plan, bids, actualW)
+	return wh
+}
+
 func TestWHatAdjustedCases(t *testing.T) {
 	t.Parallel()
 	n, _ := dlt.NewNetwork([]float64{1, 2, 3}, []float64{0.1, 0.2})
 	plan := dlt.MustSolveBoundary(n)
 	bids := n.W
 	// Everyone at bid speed: ŵ_k = w̄_k for interior, ŵ_m = w̃_m.
-	wh := WHatAdjusted(plan, bids, n.W)
+	wh := wHatAdjusted(plan, bids, n.W)
 	if math.Abs(wh[1]-plan.WBar[1]) > tol {
 		t.Fatalf("ŵ_1 = %v, want w̄_1 = %v", wh[1], plan.WBar[1])
 	}
@@ -382,14 +389,14 @@ func TestWHatAdjustedCases(t *testing.T) {
 	}
 	// Interior slower than bid: ŵ_k = α̂_k·w̃_k.
 	slow := []float64{1, 4, 3}
-	wh = WHatAdjusted(plan, bids, slow)
+	wh = wHatAdjusted(plan, bids, slow)
 	if math.Abs(wh[1]-plan.AlphaHat[1]*4) > tol {
 		t.Fatalf("slow ŵ_1 = %v, want %v", wh[1], plan.AlphaHat[1]*4)
 	}
 	// Interior faster than bid (overbid scenario): unchanged w̄_k.
 	bidsHigh := []float64{1, 3, 3}
 	planHigh := dlt.MustSolveBoundary(&dlt.Network{W: bidsHigh, Z: n.Z})
-	wh = WHatAdjusted(planHigh, bidsHigh, []float64{1, 2, 3})
+	wh = wHatAdjusted(planHigh, bidsHigh, []float64{1, 2, 3})
 	if math.Abs(wh[1]-planHigh.WBar[1]) > tol {
 		t.Fatalf("fast ŵ_1 = %v, want w̄_1 = %v", wh[1], planHigh.WBar[1])
 	}
@@ -397,8 +404,8 @@ func TestWHatAdjustedCases(t *testing.T) {
 
 func TestCascadeActual(t *testing.T) {
 	t.Parallel()
-	alpha, err := CascadeActual([]float64{0.5, 0.5, 0.25})
-	if err != nil {
+	alpha := make([]float64, 3)
+	if err := cascadeActualInto(alpha, []float64{0.5, 0.5, 0.25}); err != nil {
 		t.Fatal(err)
 	}
 	// Terminal forced to 1: 0.5, 0.25, 0.25.
@@ -415,7 +422,7 @@ func TestCascadeActual(t *testing.T) {
 	if math.Abs(sum-1) > tol {
 		t.Fatalf("cascade sums to %v", sum)
 	}
-	if _, err := CascadeActual([]float64{2, 1}); err == nil {
+	if err := cascadeActualInto(make([]float64, 2), []float64{2, 1}); err == nil {
 		t.Fatal("invalid hat accepted")
 	}
 }
@@ -548,7 +555,7 @@ func TestWHatAdjustedPinnedSmall(t *testing.T) {
 		{"root slowed", []float64{1.4, 2}, []float64{2.5 / 3.5 * 1.4, 2}},
 	}
 	for _, tc := range cases1 {
-		wh := WHatAdjusted(plan1, n1.W, tc.actualW)
+		wh := wHatAdjusted(plan1, n1.W, tc.actualW)
 		for k := range tc.want {
 			if math.Abs(wh[k]-tc.want[k]) > tol {
 				t.Fatalf("m=1 %s: ŵ_%d = %v, want %v", tc.name, k, wh[k], tc.want[k])
@@ -574,7 +581,7 @@ func TestWHatAdjustedPinnedSmall(t *testing.T) {
 		{"terminal slowed", []float64{1, 2, 5}, []float64{1.86 / 2.86, 1.36, 5}},
 	}
 	for _, tc := range cases2 {
-		wh := WHatAdjusted(plan2, n2.W, tc.actualW)
+		wh := wHatAdjusted(plan2, n2.W, tc.actualW)
 		for k := range tc.want {
 			if math.Abs(wh[k]-tc.want[k]) > tol {
 				t.Fatalf("m=2 %s: ŵ_%d = %v, want %v", tc.name, k, wh[k], tc.want[k])

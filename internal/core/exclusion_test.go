@@ -61,7 +61,11 @@ func TestEvaluateExcludingPreservesTheorems(t *testing.T) {
 		}
 		// Exclude 1..M-1 distinct non-root processors.
 		nDead := 1 + r.Intn(n.M()-1)
-		perm := r.Perm(n.M())
+		perm := make([]int, n.M()) // a uniform permutation of [0, M), inside-out
+		for i := range perm {
+			j := r.Intn(i + 1)
+			perm[i], perm[j] = perm[j], i
+		}
 		dead := make([]int, 0, nDead)
 		for _, p := range perm[:nDead] {
 			dead = append(dead, p+1)

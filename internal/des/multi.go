@@ -199,64 +199,6 @@ func RunMulti(spec MultiSpec) (*MultiResult, error) {
 	return res, nil
 }
 
-// OptimalInstallments searches for the installment count that minimizes the
-// simulated makespan of the fluid plan under the given per-transfer startup
-// cost, scanning R = 1..maxR by doubling and then refining around the best
-// octave. It returns the best R and its makespan. With zero startup the
-// curve is non-increasing, so the search returns maxR; with a positive
-// startup it finds the classic interior optimum.
-func OptimalInstallments(n *dlt.Network, load float64, maxR int, startup float64) (bestR int, bestMakespan float64, err error) {
-	if maxR < 1 {
-		return 0, 0, fmt.Errorf("%w: maxR=%d", ErrSpecHat, maxR)
-	}
-	eval := func(R int) (float64, error) {
-		rounds, err := FluidInstallments(n, load, R)
-		if err != nil {
-			return 0, err
-		}
-		res, err := RunMulti(MultiSpec{Net: n, Rounds: rounds, StartupZ: startup})
-		if err != nil {
-			return 0, err
-		}
-		return res.Makespan, nil
-	}
-	bestR, bestMakespan = 1, math.Inf(1)
-	if bestMakespan, err = eval(1); err != nil {
-		return 0, 0, err
-	}
-	// Doubling scan.
-	for R := 2; R <= maxR; R *= 2 {
-		mk, err := eval(R)
-		if err != nil {
-			return 0, 0, err
-		}
-		if mk < bestMakespan {
-			bestR, bestMakespan = R, mk
-		}
-	}
-	// Refine linearly inside the winning octave.
-	lo, hi := bestR/2+1, bestR*2-1
-	if lo < 1 {
-		lo = 1
-	}
-	if hi > maxR {
-		hi = maxR
-	}
-	for R := lo; R <= hi; R++ {
-		if R == bestR {
-			continue
-		}
-		mk, err := eval(R)
-		if err != nil {
-			return 0, 0, err
-		}
-		if mk < bestMakespan {
-			bestR, bestMakespan = R, mk
-		}
-	}
-	return bestR, bestMakespan, nil
-}
-
 // FluidInstallments builds R equal rounds whose split is the fluid-limit
 // (R → ∞) allocation: load proportional to processing rate 1/w_i. Under a
 // single round these fractions are poor (the tail starts far too late); as
@@ -343,33 +285,4 @@ func SteadyStateSchedule(n *dlt.Network, load float64, loads int, startupZ float
 		st.Period = res.RoundFinish[loads-1] - res.RoundFinish[loads-2]
 	}
 	return st, nil
-}
-
-// GeometricInstallments builds R rounds whose sizes grow geometrically by
-// ratio (ratio > 1 front-loads the tail of the schedule, ratio < 1 the
-// head), normalized to the total load, all using the single-round optimal
-// fractions.
-func GeometricInstallments(n *dlt.Network, load float64, rounds int, ratio float64) ([]Round, error) {
-	if rounds < 1 {
-		return nil, fmt.Errorf("%w: rounds=%d", ErrSpecHat, rounds)
-	}
-	if !(ratio > 0) || math.IsInf(ratio, 0) {
-		return nil, fmt.Errorf("%w: ratio=%v", ErrSpecHat, ratio)
-	}
-	sol, err := dlt.SolveBoundary(n)
-	if err != nil {
-		return nil, err
-	}
-	weights := make([]float64, rounds)
-	w, total := 1.0, 0.0
-	for r := range weights {
-		weights[r] = w
-		total += w
-		w *= ratio
-	}
-	out := make([]Round, rounds)
-	for r := range out {
-		out[r] = Round{Load: load * weights[r] / total, Hat: sol.AlphaHat}
-	}
-	return out, nil
 }

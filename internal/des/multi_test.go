@@ -149,70 +149,6 @@ func TestRunMultiStartShrinksWithRounds(t *testing.T) {
 	}
 }
 
-func TestOptimalInstallments(t *testing.T) {
-	n, _ := dlt.NewNetwork([]float64{1, 1, 1, 1, 1}, []float64{0.05, 0.05, 0.05, 0.05})
-	// No startup: more rounds never hurt, so the search lands on maxR.
-	bestR, _, err := OptimalInstallments(n, 1, 32, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bestR != 32 {
-		t.Fatalf("no-startup best R = %d, want 32", bestR)
-	}
-	// Positive startup: interior optimum; verify against brute force.
-	const startup = 0.02
-	bestR, bestMk, err := OptimalInstallments(n, 1, 32, startup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bestR <= 1 || bestR >= 32 {
-		t.Fatalf("startup best R = %d, want interior", bestR)
-	}
-	bruteR, bruteMk := 0, math.Inf(1)
-	for R := 1; R <= 32; R++ {
-		rounds, _ := FluidInstallments(n, 1, R)
-		res, err := RunMulti(MultiSpec{Net: n, Rounds: rounds, StartupZ: startup})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Makespan < bruteMk {
-			bruteR, bruteMk = R, res.Makespan
-		}
-	}
-	if math.Abs(bestMk-bruteMk) > 1e-12 {
-		t.Fatalf("search found R=%d (%v), brute force R=%d (%v)", bestR, bestMk, bruteR, bruteMk)
-	}
-	if _, _, err := OptimalInstallments(n, 1, 0, 0); err == nil {
-		t.Fatal("maxR=0 accepted")
-	}
-}
-
-func TestGeometricInstallments(t *testing.T) {
-	n, _ := dlt.NewNetwork([]float64{1, 1}, []float64{0.2})
-	rounds, err := GeometricInstallments(n, 1, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total float64
-	for r := 1; r < len(rounds); r++ {
-		if math.Abs(rounds[r].Load-2*rounds[r-1].Load) > 1e-12 {
-			t.Fatalf("ratio broken: %v", rounds)
-		}
-	}
-	for _, rd := range rounds {
-		total += rd.Load
-	}
-	if math.Abs(total-1) > 1e-12 {
-		t.Fatalf("loads sum to %v", total)
-	}
-	if _, err := GeometricInstallments(n, 1, 0, 2); err == nil {
-		t.Fatal("zero rounds accepted")
-	}
-	if _, err := GeometricInstallments(n, 1, 3, 0); err == nil {
-		t.Fatal("zero ratio accepted")
-	}
-}
-
 func TestRunMultiValidation(t *testing.T) {
 	n, _ := dlt.NewNetwork([]float64{1, 1}, []float64{0.2})
 	sol := dlt.MustSolveBoundary(n)

@@ -58,20 +58,3 @@ func RootOnlyAlloc(n *Network) []float64 {
 	alpha[0] = 1
 	return alpha
 }
-
-// PrefixOptimalAlloc solves the problem restricted to the first k+1
-// processors (P_0..P_k) and assigns zero to the rest. Experiment A1 sweeps k
-// to trace the speedup-saturation curve of the chain.
-func PrefixOptimalAlloc(n *Network, k int) ([]float64, error) {
-	if k < 0 || k > n.M() {
-		return nil, ErrAllocLen
-	}
-	prefix := &Network{W: n.W[:k+1], Z: n.Z[:k+1]}
-	sol, err := SolveBoundary(prefix)
-	if err != nil {
-		return nil, err
-	}
-	alpha := make([]float64, n.Size())
-	copy(alpha, sol.Alpha)
-	return alpha, nil
-}

@@ -224,29 +224,3 @@ func TestProportionalWeighting(t *testing.T) {
 		t.Fatalf("proportional = %v", alpha)
 	}
 }
-
-func TestPrefixOptimalAlloc(t *testing.T) {
-	t.Parallel()
-	n, _ := NewNetwork([]float64{1, 1, 1, 1}, []float64{0.2, 0.2, 0.2})
-	alpha, err := PrefixOptimalAlloc(n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alpha[2] != 0 || alpha[3] != 0 {
-		t.Fatalf("tail should be idle: %v", alpha)
-	}
-	if err := ValidateAllocation(n, alpha, tol); err != nil {
-		t.Fatal(err)
-	}
-	// k = m gives the full optimum.
-	full, _ := PrefixOptimalAlloc(n, 3)
-	opt := MustSolveBoundary(n)
-	for i := range full {
-		if math.Abs(full[i]-opt.Alpha[i]) > tol {
-			t.Fatalf("full prefix != optimum at %d", i)
-		}
-	}
-	if _, err := PrefixOptimalAlloc(n, 9); err == nil {
-		t.Fatal("out-of-range k accepted")
-	}
-}

@@ -311,44 +311,6 @@ func (noop) OnSend(int, Phase) Action             { return Action{} }
 func (noop) CrashBefore(int, Phase) bool          { return false }
 func (noop) StallBefore(int, Phase) time.Duration { return 0 }
 
-// Compose merges injectors: every member is consulted (so firing budgets
-// advance in each), and the actions are unioned — any drop drops, delays
-// add, any crash crashes, stalls add.
-func Compose(injs ...Injector) Injector { return composed(injs) }
-
-type composed []Injector
-
-func (c composed) OnSend(from int, ph Phase) Action {
-	var a Action
-	for _, in := range c {
-		x := in.OnSend(from, ph)
-		a.Drop = a.Drop || x.Drop
-		a.Duplicate = a.Duplicate || x.Duplicate
-		a.Corrupt = a.Corrupt || x.Corrupt
-		a.Delay += x.Delay
-	}
-	return a
-}
-
-func (c composed) CrashBefore(proc int, ph Phase) bool {
-	crash := false
-	for _, in := range c {
-		// Consult every member: budgets must advance deterministically.
-		if in.CrashBefore(proc, ph) {
-			crash = true
-		}
-	}
-	return crash
-}
-
-func (c composed) StallBefore(proc int, ph Phase) time.Duration {
-	var d time.Duration
-	for _, in := range c {
-		d += in.StallBefore(proc, ph)
-	}
-	return d
-}
-
 // Remap wraps an injector whose rules target *original* processor indices
 // for use on a spliced (post-exclusion) chain: orig[i] is the original
 // index of the processor currently at position i. The recovery runner uses

@@ -80,22 +80,6 @@ func TestPhaseAnyWildcard(t *testing.T) {
 	}
 }
 
-func TestCompose(t *testing.T) {
-	t.Parallel()
-	a := NewPlan(1, Rule{Kind: Drop, Proc: 1, Phase: PhaseBid, Times: 1})
-	b := NewPlan(2, Rule{Kind: Delay, Proc: 1, Phase: PhaseBid, Delay: 3 * time.Millisecond})
-	c := Compose(a, b)
-	act := c.OnSend(1, PhaseBid)
-	if !act.Drop || act.Delay != 3*time.Millisecond {
-		t.Fatalf("composed action %+v, want drop+3ms", act)
-	}
-	// a's budget is spent; only b contributes now.
-	act = c.OnSend(1, PhaseBid)
-	if act.Drop || act.Delay != 3*time.Millisecond {
-		t.Fatalf("second composed action %+v", act)
-	}
-}
-
 func TestRemap(t *testing.T) {
 	t.Parallel()
 	// The rule names original processor 3, which after one exclusion sits at

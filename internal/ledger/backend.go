@@ -25,9 +25,6 @@ type Backend interface {
 	// no longer find them. The records stay stored, and a backend opened
 	// over the same storage finds them again.
 	Forget(hs []Hash)
-	// Retain is Forget of every record not in keep, which it reads only
-	// during the call.
-	Retain(keep map[Hash]struct{})
 	// Sync makes every previous Put durable. A no-op for volatile backends.
 	Sync() error
 	// Close releases resources. Put/Get/Scan/Sync after Close error.
@@ -100,9 +97,6 @@ func (b *MemBackend) Scan(fn func(h Hash, frame []byte) error) error {
 
 // Forget is a no-op: the frames are the storage.
 func (b *MemBackend) Forget([]Hash) {}
-
-// Retain is a no-op, as Forget.
-func (b *MemBackend) Retain(map[Hash]struct{}) {}
 
 // Sync is a no-op: memory is as durable as it gets.
 func (b *MemBackend) Sync() error { return nil }

@@ -28,9 +28,9 @@ func liveCounts(st *ledger.Store, be *ledger.FileBackend) counts {
 
 // serveBounded serves n real m=4 rounds through SessionLog/RoundLog onto a
 // FileBackend in dir: round 2 is opened and voided, rounds 3 and 4 are a
-// pipelined pair (4 opens before 3 closes), every other round is opened,
-// run and closed. It returns the counts after the last close and the
-// session ID.
+// pipelined pair closed out of order (4 opens before 3 closes, and closes
+// first), every other round is opened, run and closed. It returns the
+// counts after the last close and the session ID.
 func serveBounded(t *testing.T, dir string, n int) (counts, uint64) {
 	t.Helper()
 	be, err := ledger.OpenFile(dir, boundedSegSize)
@@ -82,10 +82,10 @@ func serveBounded(t *testing.T, dir string, n int) (counts, uint64) {
 			rq3, rl3 := open(3)
 			rq4, rl4 := open(4)
 			rr3, rr4 := run(rq3, rl3), run(rq4, rl4)
-			if err := rl3.CloseDeferred(rr3); err != nil {
+			if err := rl4.CloseDeferred(rr4); err != nil {
 				t.Fatal(err)
 			}
-			if err := rl4.CloseDeferred(rr4); err != nil {
+			if err := rl3.CloseDeferred(rr3); err != nil {
 				t.Fatal(err)
 			}
 			if err := sl.Sync(); err != nil {

@@ -37,3 +37,14 @@ func (s *Store) liveEntries() (records, keys, gens int) {
 
 // LiveEntries exposes liveEntries to the external test package.
 var LiveEntries = (*Store).liveEntries
+
+// DeferBackend is Defer over any backend: Restore wires what be.Scan
+// yields. A test wraps a backend in it to watch what a restore reads.
+func DeferBackend(be Backend, met *Metrics) *Store {
+	s := newStore(nil, met)
+	s.load = func(s *Store) error {
+		s.be = be
+		return be.Scan(s.ingestFrame)
+	}
+	return s
+}

@@ -19,8 +19,8 @@ import (
 //	u32 frame length | frame bytes | 32-byte SHA-256 of the frame
 //
 // records. An in-memory hash→offset index built at open serves Get with one
-// pread; Forget and Retain drop entries from it, and the records they name
-// stay in the files for the next open to index. Put assigns each record its
+// pread; Forget drops entries from it, and the records it names stay in the
+// files for the next open to index. Put assigns each record its
 // final offset in the active segment but only appends it to an in-memory
 // tail; the tail reaches the file in one write, in append order, at the next
 // Sync (before its fsync), segment roll, Scan or Close, or when it would
@@ -89,9 +89,11 @@ func OpenFile(dir string, segSize int64) (*FileBackend, error) {
 	return openFile(dir, segSize, nil)
 }
 
-// openFile is OpenFile that also hands visit, if not nil, every record it
+// openFile is OpenFile that, if st is not nil, opens the log as st's
+// backend: st.be is set before the first record is read, so that st can
+// forget records during the scan, and st wires every record the backend
 // indexes, in append order, as it indexes it (see loadAll).
-func openFile(dir string, segSize int64, visit func(h Hash, frame []byte) error) (*FileBackend, error) {
+func openFile(dir string, segSize int64, st *Store) (*FileBackend, error) {
 	if segSize <= 0 {
 		segSize = DefaultSegmentSize
 	}
@@ -110,6 +112,10 @@ func openFile(dir string, segSize int64, visit func(h Hash, frame []byte) error)
 			return nil, errors.Join(err, b.closeAll())
 		}
 		b.segs = append(b.segs, segment{f: f})
+	}
+	var visit func(h Hash, frame []byte) error
+	if st != nil {
+		st.be, visit = b, st.ingestFrame
 	}
 	if err := b.loadAll(names, visit); err != nil {
 		return nil, errors.Join(err, b.closeAll())
@@ -159,7 +165,8 @@ var errStopped = errors.New("ledger: segment pass stopped")
 
 // loadAll indexes every segment in segment order, handing each first
 // occurrence of a record to visit, if not nil, with the frame its digest
-// was checked on: each record is read and hashed once. The next sealed
+// was checked on (valid until visit returns): each record is read and
+// hashed once. The next sealed
 // segment is read and digest-checked ahead of the indexing, concurrently,
 // so that hashing overlaps visit; what is held ahead is bounded by
 // loadAhead, chunksAhead and chunkSize, not by the log. The first
@@ -170,6 +177,9 @@ func (b *FileBackend) loadAll(names []string, visit func(h Hash, frame []byte) e
 	last := len(names) - 1
 	loads := make([]*segLoad, len(names))
 	stop := make(chan struct{})
+	// Chunks go back to the passes once indexed, since visit keeps no
+	// frame; the buffer holds every chunk the passes can have in flight.
+	free := make(chan *loadChunk, loadAhead*(chunksAhead+2))
 	var wg sync.WaitGroup
 	start := func(i int) {
 		sl := &segLoad{chunks: make(chan *loadChunk, chunksAhead)}
@@ -178,7 +188,7 @@ func (b *FileBackend) loadAll(names []string, visit func(h Hash, frame []byte) e
 		go func() {
 			defer wg.Done()
 			defer close(sl.chunks)
-			sl.size, sl.err = loadSegment(b.dir, i, b.segs[i].f, i == last, sl.chunks, stop)
+			sl.size, sl.err = loadSegment(b.dir, i, b.segs[i].f, i == last, sl.chunks, free, stop)
 		}()
 	}
 	defer func() {
@@ -210,6 +220,10 @@ func (b *FileBackend) loadAll(names []string, visit func(h Hash, frame []byte) e
 					}
 				}
 			}
+			select {
+			case free <- c:
+			default:
+			}
 		}
 		if sl.err != nil {
 			return fmt.Errorf("%s: %w", names[i], sl.err)
@@ -220,9 +234,10 @@ func (b *FileBackend) loadAll(names []string, visit func(h Hash, frame []byte) e
 }
 
 // loadSegment reads one segment front to back, digest-checks every record
-// and hands the intact ones to out in chunks. It returns the segment's
-// valid length; a torn tail is truncated away iff last.
-func loadSegment(dir string, seg int, f *os.File, last bool, out chan<- *loadChunk, stop <-chan struct{}) (int64, error) {
+// and hands the intact ones to out in chunks, taken from free when one is
+// there. It returns the segment's valid length; a torn tail is truncated
+// away iff last.
+func loadSegment(dir string, seg int, f *os.File, last bool, out chan<- *loadChunk, free <-chan *loadChunk, stop <-chan struct{}) (int64, error) {
 	info, err := f.Stat()
 	if err != nil {
 		return 0, err
@@ -239,14 +254,14 @@ func loadSegment(dir string, seg int, f *os.File, last bool, out chan<- *loadChu
 	if err != nil || !bytes.Equal(hdr, segMagic) {
 		return 0, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
 	}
-	c := newChunk()
+	c := newChunk(free)
 	send := func() error {
 		select {
 		case out <- c:
 		case <-stop:
 			return errStopped
 		}
-		c = newChunk()
+		c = newChunk(free)
 		return nil
 	}
 	at, err := readRecords(f, size, func(at int64, frame []byte, digest Hash) error {
@@ -279,7 +294,16 @@ func loadSegment(dir string, seg int, f *os.File, last bool, out chan<- *loadChu
 	return size, err
 }
 
-func newChunk() *loadChunk { return &loadChunk{data: make([]byte, 0, chunkSize)} }
+// newChunk returns an empty chunk, reusing one from free if there is one.
+func newChunk(free <-chan *loadChunk) *loadChunk {
+	select {
+	case c := <-free:
+		c.data, c.recs = c.data[:0], c.recs[:0]
+		return c
+	default:
+		return &loadChunk{data: make([]byte, 0, chunkSize)}
+	}
+}
 
 // errTorn reports a record that runs past the end of its segment.
 var errTorn = fmt.Errorf("%w: torn record", ErrCorrupt)
@@ -575,20 +599,6 @@ func (b *FileBackend) Forget(hs []Hash) {
 	for _, h := range hs {
 		delete(b.index, h)
 	}
-}
-
-// Retain rebuilds the index from the entries of keep alone, in a fresh map:
-// a Go map keeps the memory of deleted entries.
-func (b *FileBackend) Retain(keep map[Hash]struct{}) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	index := make(map[Hash]recLoc, len(keep))
-	for h := range keep {
-		if loc, ok := b.index[h]; ok {
-			index[h] = loc
-		}
-	}
-	b.index = index
 }
 
 // Len reports the number of indexed records.

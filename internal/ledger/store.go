@@ -81,19 +81,23 @@ type GenView struct {
 	Artifacts []Hash // first-per-slot artifacts, append order
 	Settle    Hash
 	Void      Hash
+	// While Restore scans, the records themselves: the artifacts', parallel
+	// to Artifacts, and the first close record.
+	recs     []Record
+	closeRec Record
 }
 
 // Closed reports whether the generation reached a durable outcome.
 func (g *GenView) Closed() bool { return !g.Settle.IsZero() || !g.Void.IsZero() }
 
-// SessionView is the wired state of one session. A store from Open holds
-// every generation in the log. A serving store forgets each generation
-// once its close record is appended (RoundLog.CloseDeferred, RoundLog.Void)
-// and recovery forgets the ones it has replayed (ForgetClosed), so there
-// Gens holds only the generations still open. Views returned by the store
-// are live and must be treated as read-only snapshots under the caller's
-// synchronization regime (the daemon reads them only at recovery, before
-// serving starts; dlsaudit is single-threaded).
+// SessionView is the wired state of one session. A store from Open or
+// OpenDir holds every generation in the log. A serving store forgets each
+// generation once its close record is appended (RoundLog.CloseDeferred,
+// RoundLog.Void), and Restore forgets each one as it hands it over, so
+// there Gens holds only the generations still open. Views returned by the
+// store are live and must be treated as read-only snapshots under the
+// caller's synchronization regime (the daemon reads them only at recovery,
+// before serving starts; dlsaudit is single-threaded).
 type SessionView struct {
 	ID     uint64
 	Hello  wire.Hello
@@ -135,6 +139,11 @@ type Store struct {
 	nextSession uint64
 	openGens    int    // generations wired open and not yet closed
 	drop        []Hash // hashes for the backend's Forget, reused under mu
+
+	load    func(*Store) error // Defer's open, which Restore runs; nil once it ran
+	restore func(*Generation)  // set while Restore scans: takes each generation as it closes
+	scanned int                // records the open's scan visited
+	peak    int                // most records known at once
 }
 
 // encBufs pools the envelope scratch Put encodes and hashes into before it
@@ -170,18 +179,110 @@ func Open(be Backend, met *Metrics) (*Store, error) {
 // same frame. Closing the store closes the backend.
 func OpenDir(dir string, segSize int64, met *Metrics) (*Store, error) {
 	s := newStore(nil, met)
-	be, err := openFile(dir, segSize, s.ingestFrame)
-	if err != nil {
+	if _, err := openFile(dir, segSize, s); err != nil {
 		return nil, err
 	}
-	s.be = be
 	s.gaugesLocked()
 	return s, nil
 }
 
+// Defer returns a store over the segment log in dir that has not read it:
+// its Restore opens the log. Until Restore has returned nil, the store
+// serves nothing else; Close before that is a no-op.
+func Defer(dir string, segSize int64, met *Metrics) *Store {
+	s := newStore(nil, met)
+	s.load = func(s *Store) error {
+		_, err := openFile(dir, segSize, s)
+		return err
+	}
+	return s
+}
+
+// RestoreStats is what Restore's scan saw.
+type RestoreStats struct {
+	Records  int // records the scan read
+	PeakLive int // most records the store knew at once
+}
+
+// Restore opens a store from Defer in one pass over its log, handing each
+// generation to fn as soon as it can be replayed, and forgetting it as it
+// hands it over, so the store never holds more than the generations still
+// open. fn gets:
+//
+//   - during the scan, each closed generation as its close record is read,
+//     unless an earlier generation of its session is still open: a
+//     session's generations are handed over in generation order, so one
+//     closed behind an open one waits for the end of the scan;
+//   - after the scan, and only if it found no issue and no fork, every
+//     generation still held, by session ID, then generation: the open ones
+//     (Close.Kind is 0) stay held, for the caller to resume through
+//     SessionLog.RoundAt.
+//
+// fn runs on Restore's goroutine and may block, which holds the scan back.
+// Nothing may be appended during the scan; a generation handed over after
+// it may be resumed at once, while the rest are handed over. A record that
+// names a generation already closed earlier in the log is an Issue.
+// Restore fails on what Open fails on: unreadable or tampered storage.
+func (s *Store) Restore(fn func(*Generation)) (RestoreStats, error) {
+	if s.load == nil {
+		return RestoreStats{}, errors.New("ledger: Restore needs an unopened store from Defer")
+	}
+	load := s.load
+	s.load, s.restore = nil, fn
+	err := load(s)
+	s.restore = nil
+	st := RestoreStats{Records: s.scanned, PeakLive: s.peak}
+	if err != nil {
+		s.be = nil
+		return st, err
+	}
+	s.mu.Lock()
+	var rest []*Generation
+	if len(s.issues) == 0 && len(s.forks) == 0 {
+		ids := make([]uint64, 0, len(s.sessions))
+		for id := range s.sessions {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		for _, id := range ids {
+			sv := s.sessions[id]
+			var held []*GenView
+			for _, gv := range sv.Gens {
+				rest = append(rest, s.handOffLocked(sv, gv))
+				if !gv.Closed() {
+					held = append(held, gv)
+				}
+			}
+			sv.Gens = held
+		}
+	}
+	s.gaugesLocked()
+	s.mu.Unlock()
+	for _, g := range rest {
+		fn(g)
+	}
+	return st, nil
+}
+
+// handOffLocked builds gv's Generation from the records the scan kept and,
+// if gv is closed, forgets it (the caller removes it from sv.Gens).
+func (s *Store) handOffLocked(sv *SessionView, gv *GenView) *Generation {
+	g := &Generation{Session: sv.ID, Hello: sv.Hello, GenView: *gv, Records: gv.recs, Close: gv.closeRec}
+	g.recs, g.closeRec = nil, Record{}
+	gv.recs = nil
+	if gv.Closed() {
+		s.forgetLocked(sv, gv)
+		s.be.Forget(s.drop)
+		s.drop = s.drop[:0]
+	}
+	return g
+}
+
 // ingestFrame decodes and wires one record found at open. The store is not
-// yet shared, so it takes no lock.
+// yet shared, so it takes no lock. The decoded record owns its parents and
+// payload, so Restore may keep it after the scan has reused the frame.
 func (s *Store) ingestFrame(h Hash, frame []byte) error {
+	s.scanned++
 	rec, err := decodeRecord(frame)
 	if err != nil {
 		return fmt.Errorf("ledger: record %s: %w", h.Short(), err)
@@ -256,8 +357,8 @@ func (s *Store) putEncoded(h Hash, enc []byte, rec Record, mode putMode) (bool, 
 			s.forgetLocked(sv, sv.Gens[i])
 			s.be.Forget(s.drop)
 			s.drop = s.drop[:0]
-			// A copy, not an in-place delete: recovery may be ranging over
-			// the old slice while it closes a resumed generation.
+			// A copy, not an in-place delete: a caller may still be
+			// reading a slice the store handed out earlier.
 			var held []*GenView
 			if len(sv.Gens) > 1 {
 				held = slices.Concat(sv.Gens[:i], sv.Gens[i+1:])
@@ -311,47 +412,6 @@ func (s *Store) moveTipLocked(sv *SessionView, h Hash) {
 	sv.Tip = h
 }
 
-// ForgetClosed forgets every closed generation of every session, as the
-// serving path forgets each generation it closes. Recovery calls it once
-// it has replayed the log. Rather than deleting a whole history record by
-// record, it rebuilds known, and the backend index through Retain, from
-// what survives: the session records, the held generations' records and
-// the tips.
-func (s *Store) ForgetClosed() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, sv := range s.sessions {
-		var held []*GenView
-		for _, gv := range sv.Gens {
-			if gv.Closed() {
-				delete(s.byKey, genRef{sv.ID, gv.Gen})
-			} else {
-				held = append(held, gv)
-			}
-		}
-		sv.Gens = held
-	}
-	known := make(map[Hash]struct{})
-	for _, gk := range s.byKey {
-		for _, h := range gk.first {
-			known[h] = struct{}{}
-		}
-		for _, h := range gk.forked {
-			known[h] = struct{}{}
-		}
-	}
-	for _, sv := range s.sessions {
-		if _, ok := known[sv.Tip]; !ok {
-			known[sv.Tip] = struct{}{}
-			sv.staleTip = true
-		}
-	}
-	s.known = known
-	s.drop = nil
-	s.be.Retain(known)
-	s.gaugesLocked()
-}
-
 // Live reports what the store holds in memory: its known records and the
 // generations wired open and not yet closed.
 func (s *Store) Live() (records, openGens int) {
@@ -380,8 +440,14 @@ func (s *Store) Sync() error {
 	return nil
 }
 
-// Close closes the backend.
-func (s *Store) Close() error { return s.be.Close() }
+// Close closes the backend. A store from Defer that Restore has not opened
+// holds none.
+func (s *Store) Close() error {
+	if s.be == nil {
+		return nil
+	}
+	return s.be.Close()
+}
 
 // Get fetches and decodes the record at h.
 func (s *Store) Get(h Hash) (Record, error) {
@@ -469,12 +535,28 @@ func (s *Store) issue(code string, rec Record, h Hash, format string, args ...an
 }
 
 // ingestLocked wires one record found by the open-time scan, recording a
-// missing-parent issue for each parent not seen before it.
+// missing-parent issue for each parent not seen before it. An artifact or
+// close record of a generation closed earlier in the log is an after-close
+// issue: it is still wired, so that a conflicting one is also a fork,
+// unless Restore has already handed the generation over.
 func (s *Store) ingestLocked(h Hash, rec Record) {
 	if _, ok := s.known[h]; ok {
 		return
 	}
+	if rec.Kind != KindSession && rec.Kind != KindRound {
+		if sv := s.sessions[rec.Session]; sv != nil && rec.Gen >= 1 && rec.Gen <= sv.Opened {
+			i, held := sv.find(rec.Gen)
+			if !held || sv.Gens[i].Closed() {
+				s.issue("after-close", rec, h, "%s record for a generation closed earlier in the log", rec.Kind)
+			}
+			if !held {
+				s.be.Forget([]Hash{h})
+				return
+			}
+		}
+	}
 	s.known[h] = struct{}{}
+	s.peak = max(s.peak, len(s.known))
 	for _, p := range rec.Parents {
 		if _, ok := s.known[p]; !ok {
 			s.issue("missing-parent", rec, h, "parent %s is not in the log", p.Short())
@@ -546,7 +628,8 @@ func (s *Store) wireLocked(h Hash, rec Record) {
 			s.issue("orphan-close", rec, h, "%s record for unknown generation", rec.Kind)
 			return
 		}
-		if !gv.Closed() {
+		first := !gv.Closed()
+		if first {
 			s.openGens--
 		}
 		if rec.Kind == KindSettle {
@@ -554,7 +637,12 @@ func (s *Store) wireLocked(h Hash, rec Record) {
 		} else {
 			gv.Void = h
 		}
-		s.moveTipLocked(s.sessions[rec.Session], h)
+		sv := s.sessions[rec.Session]
+		s.moveTipLocked(sv, h)
+		if s.restore != nil && first {
+			gv.closeRec = rec
+			s.handOverClosed(sv)
+		}
 	default:
 		gv := s.genLocked(rec.Session, rec.Gen)
 		if gv == nil {
@@ -562,6 +650,21 @@ func (s *Store) wireLocked(h Hash, rec Record) {
 			return
 		}
 		gv.Artifacts = append(gv.Artifacts, h)
+		if s.restore != nil {
+			rec.Parents = nil // Verify reads an artifact's kind and payload only
+			gv.recs = append(gv.recs, rec)
+		}
+	}
+}
+
+// handOverClosed hands sv's leading closed generations to Restore's fn, in
+// generation order, forgetting each one; it stops at the first one still
+// open. It runs on the scan's goroutine.
+func (s *Store) handOverClosed(sv *SessionView) {
+	for len(sv.Gens) > 0 && sv.Gens[0].Closed() {
+		g := s.handOffLocked(sv, sv.Gens[0])
+		sv.Gens = sv.Gens[1:]
+		s.restore(g)
 	}
 }
 

@@ -17,41 +17,98 @@ func signedZero(s sign.Signed) bool {
 // processors is damaged, not big.
 const maxSessionSize = 1 << 21
 
-// VerifySession re-verifies one session's hash chain and signatures from
-// storage alone: every close record's parent set must commit to exactly the
-// round-open plus the generation's artifacts, no generation may carry both
-// a settle and a void, every artifact payload must decode under its
-// declared kind, and every embedded signature must verify against a PKI
-// rebuilt from the session's (size, seed). The returned issues are
-// report-grade: an empty slice means the stored evidence is internally
-// consistent and authentic (whether the *economics* hold is the replay and
-// theorem checkers' job, in internal/server's audit).
+// Generation is one generation's evidence, as Restore hands it over or as
+// VerifySession reads it back: its view, its artifacts' records and its
+// close record.
+type Generation struct {
+	Session uint64
+	Hello   wire.Hello
+	GenView
+	// Records are the artifacts', parallel to Artifacts. A zero Record
+	// stands for one that could not be read, which the reader reports.
+	Records []Record
+	// Close is the settle or void record; its Kind is 0 while the
+	// generation is open, or if it could not be read.
+	Close Record
+}
+
+// Verify checks one generation's evidence from its records alone: the close
+// record's parent set must commit to exactly the round-open plus the
+// artifacts, the generation may not carry both a settle and a void, every
+// artifact payload must decode under its declared kind, and every embedded
+// signature must verify against pki (nil: shapes only). Passing the PKI of
+// the protocol session that replays the generation leaves every signature
+// that verified in its memo, so the replay does not check it again. The
+// returned issues are report-grade: none means the evidence is internally
+// consistent and authentic (whether the economics hold is the replay's and
+// the theorem checkers' job).
+func (g *Generation) Verify(pki *sign.PKI) []Issue {
+	var issues []Issue
+	add := func(code string, h Hash, format string, args ...any) {
+		issues = append(issues, Issue{
+			Code: code, Session: g.Session, Gen: g.Gen, Hash: h,
+			Detail: fmt.Sprintf(format, args...),
+		})
+	}
+	if !g.Settle.IsZero() && !g.Void.IsZero() {
+		add("double-close", g.Settle, "generation has both a settle and a void record")
+	}
+	if g.Close.Kind != 0 {
+		closeH := g.Settle
+		if g.Close.Kind == KindVoid {
+			closeH = g.Void
+		}
+		want := make(map[Hash]struct{}, len(g.Artifacts)+1)
+		want[g.Open] = struct{}{}
+		for _, ah := range g.Artifacts {
+			want[ah] = struct{}{}
+		}
+		for _, p := range g.Close.Parents {
+			if _, ok := want[p]; !ok {
+				add("uncommitted-parent", closeH, "close record references %s, which is not this generation's open or an artifact", p.Short())
+			}
+			delete(want, p)
+		}
+		for missing := range want {
+			add("evidence-gap", closeH, "artifact %s is in the log but not committed by the close record", missing.Short())
+		}
+	}
+	for i, rec := range g.Records {
+		if rec.Kind == 0 {
+			continue
+		}
+		if err := verifyArtifact(pki, rec); err != nil {
+			add("bad-artifact", g.Artifacts[i], "%s: %v", rec.Kind, err)
+		}
+	}
+	return issues
+}
+
+// VerifySession re-verifies one session of a store from Open or OpenDir
+// from storage alone: each generation's records are read back and checked
+// by Generation.Verify against a PKI rebuilt from the session's (size,
+// seed).
 func (s *Store) VerifySession(id uint64) []Issue {
 	sv := s.Session(id)
 	if sv == nil {
 		return []Issue{{Code: "no-session", Session: id, Detail: "session not in the log"}}
 	}
 	var issues []Issue
-	add := func(code string, gen uint64, h Hash, format string, args ...any) {
-		issues = append(issues, Issue{
-			Code: code, Session: id, Gen: gen, Hash: h,
-			Detail: fmt.Sprintf(format, args...),
-		})
-	}
-
 	var pki *sign.PKI
 	if sv.Hello.Size <= 0 || sv.Hello.Size > maxSessionSize {
-		add("bad-session", 0, sv.Head, "implausible session size %d", sv.Hello.Size)
+		issues = append(issues, Issue{Code: "bad-session", Session: id, Hash: sv.Head,
+			Detail: fmt.Sprintf("implausible session size %d", sv.Hello.Size)})
 	} else {
 		pki = sign.NewPKI()
 		for i := 0; i < sv.Hello.Size; i++ {
 			pki.MustRegister(i, sign.NewSigner(i, sv.Hello.Seed).Public())
 		}
 	}
-
 	for _, gv := range sv.Gens {
-		if !gv.Settle.IsZero() && !gv.Void.IsZero() {
-			add("double-close", gv.Gen, gv.Settle, "generation has both a settle and a void record")
+		g := &Generation{Session: id, Hello: sv.Hello, GenView: *gv, Records: make([]Record, len(gv.Artifacts))}
+		unreadable := func(what string, h Hash, err error) {
+			issues = append(issues, Issue{Code: "unreadable", Session: id, Gen: gv.Gen, Hash: h,
+				Detail: fmt.Sprintf("%s: %v", what, err)})
 		}
 		closeH := gv.Settle
 		if closeH.IsZero() {
@@ -60,34 +117,18 @@ func (s *Store) VerifySession(id uint64) []Issue {
 		if !closeH.IsZero() {
 			rec, err := s.Get(closeH)
 			if err != nil {
-				add("unreadable", gv.Gen, closeH, "close record: %v", err)
-			} else {
-				want := make(map[Hash]struct{}, len(gv.Artifacts)+1)
-				want[gv.Open] = struct{}{}
-				for _, ah := range gv.Artifacts {
-					want[ah] = struct{}{}
-				}
-				for _, p := range rec.Parents {
-					if _, ok := want[p]; !ok {
-						add("uncommitted-parent", gv.Gen, closeH, "close record references %s, which is not this generation's open or an artifact", p.Short())
-					}
-					delete(want, p)
-				}
-				for missing := range want {
-					add("evidence-gap", gv.Gen, closeH, "artifact %s is in the log but not committed by the close record", missing.Short())
-				}
+				unreadable("close record", closeH, err)
 			}
+			g.Close = rec
 		}
-		for _, ah := range gv.Artifacts {
+		for i, ah := range gv.Artifacts {
 			rec, err := s.Get(ah)
 			if err != nil {
-				add("unreadable", gv.Gen, ah, "artifact: %v", err)
-				continue
+				unreadable("artifact", ah, err)
 			}
-			if err := verifyArtifact(pki, rec); err != nil {
-				add("bad-artifact", gv.Gen, ah, "%s: %v", rec.Kind, err)
-			}
+			g.Records[i] = rec
 		}
+		issues = append(issues, g.Verify(pki)...)
 	}
 	return issues
 }
@@ -135,8 +176,11 @@ func verifyArtifact(pki *sign.PKI, rec Record) error {
 			return err
 		}
 		for i, sg := range b.Signed {
-			if err := check(fmt.Sprintf("signed[%d]", i), sg); err != nil {
-				return err
+			if signedZero(sg) || pki == nil {
+				continue
+			}
+			if err := pki.Verify(sg); err != nil {
+				return fmt.Errorf("signed[%d]: %w", i, err)
 			}
 		}
 	case KindAlloc:

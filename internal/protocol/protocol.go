@@ -266,6 +266,11 @@ func NewSession(size int, seed uint64) *Session {
 // Size returns the processor population of the session.
 func (s *Session) Size() int { return s.size }
 
+// PKI returns the session's public keys with their verification memo. A
+// message verified through it before a Run is answered from the memo in
+// the Run.
+func (s *Session) PKI() *sign.PKI { return s.r.pki }
+
 // MemoStats exposes the session's amortization counters: PKI verification
 // memo hits and per-signer signature memo hits, summed.
 func (s *Session) MemoStats() (verifyHits, signHits int64) {

@@ -176,7 +176,12 @@ func (a *auditor) replayGen(sv *ledger.SessionView, sess *protocol.Session, gv *
 		failf("stored round not admissible: %v", err)
 		return
 	}
-	if _, err := replaySettled(a.st, sess, params, gv); err != nil {
+	rec, err := a.st.Get(gv.Settle)
+	if err != nil {
+		failf("settle record: %v", err)
+		return
+	}
+	if _, err := replaySettled(sess, params, gv.Round.Seq, rec.Payload); err != nil {
 		failf("%v", err)
 		return
 	}

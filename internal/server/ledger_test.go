@@ -18,7 +18,14 @@ import (
 	"dlsmech/internal/wire"
 )
 
-// openLedger opens (or reopens) the evidence store in dir.
+// deferLedger is the evidence store in dir as the daemon takes it: not yet
+// read, for Listen's recovery to open in one pass.
+func deferLedger(t *testing.T, dir string) *ledger.Store {
+	t.Helper()
+	return ledger.Defer(dir, 0, nil)
+}
+
+// openLedger opens the evidence store in dir whole, as an auditor does.
 func openLedger(t *testing.T, dir string) *ledger.Store {
 	t.Helper()
 	be, err := ledger.OpenFile(dir, 0)
@@ -73,7 +80,7 @@ func TestLedgerCrashRecoveryResume(t *testing.T) {
 	}
 
 	// Epoch 1: serve rounds 1..k-1 normally.
-	st1 := openLedger(t, dir)
+	st1 := deferLedger(t, dir)
 	s1, err := server.Listen(server.Config{Ledger: st1, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -137,7 +144,7 @@ func TestLedgerCrashRecoveryResume(t *testing.T) {
 	}
 
 	// Epoch 3: restart. Listen runs recovery — replay, resume, settle.
-	st3 := openLedger(t, dir)
+	st3 := deferLedger(t, dir)
 	s3, err := server.Listen(server.Config{Ledger: st3, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("restart over crashed ledger: %v", err)
@@ -221,7 +228,7 @@ func TestLedgerCrashRecoveryResume(t *testing.T) {
 // reopened ledger as a byte-identical settle record.
 func TestLedgerDrainDurability(t *testing.T) {
 	dir := t.TempDir()
-	st := openLedger(t, dir)
+	st := deferLedger(t, dir)
 	s, err := server.Listen(server.Config{Ledger: st, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -391,7 +398,7 @@ func TestAuditDetectsDoubleSubmissionFork(t *testing.T) {
 // audit including the theorem replay.
 func TestLedgerRoundsRecordedAndAudited(t *testing.T) {
 	dir := t.TempDir()
-	st := openLedger(t, dir)
+	st := deferLedger(t, dir)
 	s, err := server.Listen(server.Config{Ledger: st, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("listen: %v", err)

@@ -2,41 +2,54 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"time"
 
 	"dlsmech/internal/ledger"
 	"dlsmech/internal/protocol"
 	"dlsmech/internal/wire"
 )
 
-// Recover replays the configured evidence ledger and rebuilds the daemon's
-// warm state from it. For every session in the log:
+// Recover rebuilds the daemon's warm state from the configured evidence
+// ledger in one pass over the log. The ledger must be a store from
+// ledger.Defer: Recover opens it with ledger.Store.Restore, whose scan
+// hands over each generation as soon as its close record is read. A pool
+// of at most GOMAXPROCS workers takes them, each tenant pinned to one
+// worker, and for each generation the worker
 //
-//   - the hash chain and every embedded signature are re-verified
-//     (ledger.VerifySession);
-//   - settled generations are re-run in order on a fresh protocol session
-//     — determinism makes the recomputed RoundResult byte-identical to the
-//     stored settle payload, and any divergence refuses service;
-//   - an interrupted (open) generation is resumed: the re-run's artifacts
+//   - verifies its evidence (ledger.Generation.Verify: the close record's
+//     parents and every embedded signature), with the PKI of the protocol
+//     session that replays it, so the replay finds each signature in the
+//     memo;
+//   - re-runs a settled generation on the session's protocol.Session: the
+//     recomputed RoundResult must be byte-identical to the settle payload
+//     on disk (determinism makes it so, and any divergence refuses
+//     service), and the round is applied to the tenant's book;
+//   - skips a voided generation, which has no outcome;
+//   - resumes an interrupted (open) generation, handed over only once the
+//     whole log has scanned with no issue or fork: the re-run's artifacts
 //     dedup into the ones already on disk and the round settles normally,
 //     or, if the run cannot complete, the generation is voided with its
-//     evidence intact;
-//   - the recovered session lands in the pool, warm, with its ledger spine
-//     positioned for the next generation.
+//     evidence intact.
 //
-// Once every session is recovered, the store forgets every closed
-// generation (ledger.Store.ForgetClosed), as serving does.
+// The store forgets each generation as it hands it over, so a restart
+// holds the open generations, not the history. A session's generations go
+// in generation order, and a tenant's in the order the store hands them
+// over: the order of their close records, except that a generation closed
+// behind an open one of its session waits for it. That order depends on
+// the log alone, so the tenant books do not depend on the worker count.
 //
-// Recovery also replays every settled round into the tenant book, so the
-// cumulative conservation invariant survives the restart.
-//
-// Tenants recover concurrently, at most GOMAXPROCS at a time, each one's
-// sessions in ID order, so its book applies rounds as they were served.
-// Pool adoption, log lines and the returned error follow session-ID order.
-// When recovery fails, a resumed tail round of another tenant may already
-// have settled, with the bytes a successful recovery would have written.
+// Structural issues (among them a record naming a generation closed
+// earlier in the log) and forks refuse service, and so does a session that
+// fails; the error names the lowest session ID at fault. Recovered
+// sessions land in the pool in session-ID order, warm, with their ledger
+// spine positioned for the next generation. When recovery fails, a resumed
+// tail round of another tenant may already have settled, with the bytes a
+// successful recovery would have written.
 //
 // Recover is a no-op without a ledger. It must run before serving starts
 // (Listen does); it is not safe concurrently with live rounds.
@@ -45,44 +58,34 @@ func (s *Server) Recover() error {
 	if st == nil {
 		return nil
 	}
+	t0 := time.Now()
+	rc := s.newRecovery(runtime.GOMAXPROCS(0))
+	stats, err := st.Restore(rc.dispatch)
+	scan := time.Since(t0)
+	rc.wait()
+	finish := time.Since(t0) - scan
+	if err != nil {
+		return fmt.Errorf("server: open ledger: %w", err)
+	}
 	if issues := st.Issues(); len(issues) > 0 {
-		return fmt.Errorf("server: ledger has %d structural issues (first: %s); refusing to serve — run dlsaudit", len(issues), issues[0])
+		first := slices.MinFunc(issues, func(a, b ledger.Issue) int { return cmp.Compare(a.Session, b.Session) })
+		return fmt.Errorf("server: recover ledger session %d: ledger has %d structural issues (first: %s); refusing to serve — run dlsaudit", first.Session, len(issues), first)
 	}
 	if forks := st.Forks(); len(forks) > 0 {
-		return fmt.Errorf("server: ledger has %d evidence forks (first: %s); refusing to serve — run dlsaudit", len(forks), forks[0])
+		first := slices.MinFunc(forks, func(a, b ledger.Fork) int { return cmp.Compare(a.Session, b.Session) })
+		return fmt.Errorf("server: recover ledger session %d: ledger has %d evidence forks (first: %s); refusing to serve — run dlsaudit", first.Session, len(forks), first)
 	}
 	sessions := st.Sessions()
-	type recovered struct {
-		ps   *pooledSession
-		err  error
-		logs []string
-	}
-	out := make([]recovered, len(sessions))
-	byTenant := make(map[string][]int) // session indices, ID order
-	for i, sv := range sessions {
-		byTenant[sv.Hello.Tenant] = append(byTenant[sv.Hello.Tenant], i)
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for _, idx := range byTenant {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer func() { <-sem; wg.Done() }()
-			for _, i := range idx {
-				r := &out[i]
-				logf := func(format string, args ...any) { r.logs = append(r.logs, fmt.Sprintf(format, args...)) }
-				if r.ps, r.err = s.recoverSession(sessions[i], logf); r.err != nil {
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for i, sv := range sessions {
-		r := out[i]
+	for _, sv := range sessions {
+		r := rc.sessions[sv.ID]
+		if r == nil { // a session with no generation
+			r = s.startRecovery(sv.Hello)
+		}
 		for _, line := range r.logs {
 			s.cfg.Logf("%s", line)
+		}
+		if r.err == nil && r.ps.log == nil {
+			r.ps.log, r.err = st.ResumeSession(sv.ID)
 		}
 		if r.err != nil {
 			return fmt.Errorf("server: recover ledger session %d: %w", sv.ID, r.err)
@@ -94,86 +97,183 @@ func (s *Server) Recover() error {
 		s.cfg.Logf("dlsd: recovered ledger session %d (%q, m=%d, %d generations)",
 			sv.ID, sv.Hello.Tenant, sv.Hello.Size, sv.Opened)
 	}
-	st.ForgetClosed()
+	live, _ := st.Live()
+	s.cfg.Logf("dlsd: recovery: %d records, %d sessions; live records peak %d, %d after; scan %v, finish %v; summed over %d workers: verify %v, replay %v, tail resume %v",
+		stats.Records, len(sessions), stats.PeakLive, live, scan.Round(time.Millisecond), finish.Round(time.Millisecond),
+		len(rc.workers), rc.verify.Round(time.Millisecond), rc.replay.Round(time.Millisecond), rc.resume.Round(time.Millisecond))
 	return nil
 }
 
-// recoverSession rebuilds one pooled session from its ledger spine.
-func (s *Server) recoverSession(sv *ledger.SessionView, logf func(string, ...any)) (*pooledSession, error) {
-	hello := sv.Hello
-	if hello.Size < 2 || hello.Size > s.cfg.MaxSessionSize {
-		return nil, fmt.Errorf("session size %d outside [2,%d]", hello.Size, s.cfg.MaxSessionSize)
-	}
-	if issues := s.cfg.Ledger.VerifySession(sv.ID); len(issues) > 0 {
-		return nil, fmt.Errorf("evidence verification failed: %s (and %d more)", issues[0], len(issues)-1)
-	}
-	sl, err := s.cfg.Ledger.ResumeSession(sv.ID)
-	if err != nil {
-		return nil, err
-	}
-	ps := &pooledSession{sess: protocol.NewSession(hello.Size, hello.Seed), log: sl}
-	s.met.sessionsCreated.Inc()
-	for _, gv := range sv.Gens {
-		params, err := RoundParams(hello.Size, gv.Round)
-		if err != nil {
-			return nil, fmt.Errorf("gen %d: stored round no longer admissible: %w", gv.Gen, err)
-		}
-		switch {
-		case !gv.Settle.IsZero():
-			// Replay: the session's deterministic state (issuer streams,
-			// memos) must advance through every settled round in order.
-			res, err := replaySettled(s.cfg.Ledger, ps.sess, params, gv)
-			if err != nil {
-				return nil, fmt.Errorf("gen %d: %w", gv.Gen, err)
-			}
-			s.tenants.settle(hello.Tenant, res.Ledger.Journal())
-		case !gv.Void.IsZero():
-			// Voided: no outcome to replay. The evidence stays sealed; the
-			// round contributes nothing to session or tenant state.
-			continue
-		default:
-			// Interrupted mid-round: resume it. The re-run's appends dedup
-			// into the artifacts already on disk; the settle commits to the
-			// union.
-			rl, err := sl.RoundAt(gv.Gen)
-			if err != nil {
-				return nil, err
-			}
-			params.Evidence = rl
-			res, err := ps.sess.Run(params)
-			if err != nil {
-				if verr := rl.Void(CodeRunFailed, "recovery re-run: "+err.Error()); verr != nil {
-					return nil, fmt.Errorf("gen %d: void after failed resume: %w", gv.Gen, verr)
-				}
-				s.met.ledgerRoundFailures.Inc()
-				logf("dlsd: session %d gen %d voided during recovery: %v", sv.ID, gv.Gen, err)
-				continue
-			}
-			if err := rl.Close(ResultToWire(gv.Round.Seq, res)); err != nil {
-				return nil, fmt.Errorf("gen %d: settle resumed round: %w", gv.Gen, err)
-			}
-			s.tenants.settle(hello.Tenant, res.Ledger.Journal())
-			s.met.roundsRecovered.Inc()
-		}
-	}
-	return ps, nil
+// recovery is one Recover's worker pool.
+type recovery struct {
+	workers []*recoveryWorker
+	tenants map[string]*recoveryWorker // the scan's goroutine only
+	wg      sync.WaitGroup
+	// Once the workers are done: every session they saw, and their busy
+	// times summed.
+	sessions               map[uint64]*recovered
+	verify, replay, resume time.Duration
 }
 
-// replaySettled re-runs one settled generation on sess and requires the
-// recomputed RoundResult to match the settle record on disk byte for byte.
+// recoveryWorker replays the generations of the tenants pinned to it, in
+// the order it receives them.
+type recoveryWorker struct {
+	gens                   chan *ledger.Generation
+	sessions               map[uint64]*recovered
+	verify, replay, resume time.Duration // busy time
+}
+
+// recovered is one session's recovery state.
+type recovered struct {
+	ps   *pooledSession
+	err  error // the first failure; the session's later generations are skipped
+	logs []string
+}
+
+// recoveryQueue is how many generations the workers hold, between them,
+// ahead of the ones they replay; a worker's queue is its share, at least
+// one. The scan waits for a worker whose queue is full.
+const recoveryQueue = 32
+
+func (s *Server) newRecovery(workers int) *recovery {
+	rc := &recovery{tenants: make(map[string]*recoveryWorker), sessions: make(map[uint64]*recovered)}
+	workers = max(workers, 1)
+	for range workers {
+		w := &recoveryWorker{gens: make(chan *ledger.Generation, max(recoveryQueue/workers, 1)), sessions: make(map[uint64]*recovered)}
+		rc.workers = append(rc.workers, w)
+		rc.wg.Add(1)
+		go func() {
+			defer rc.wg.Done()
+			for g := range w.gens {
+				r := w.sessions[g.Session]
+				if r == nil {
+					r = s.startRecovery(g.Hello)
+					w.sessions[g.Session] = r
+				}
+				if r.err == nil {
+					r.err = w.apply(s, r, g)
+				}
+			}
+		}()
+	}
+	return rc
+}
+
+// dispatch queues g on its tenant's worker, pinning a tenant it has not
+// seen to the next worker in turn.
+func (rc *recovery) dispatch(g *ledger.Generation) {
+	w := rc.tenants[g.Hello.Tenant]
+	if w == nil {
+		w = rc.workers[len(rc.tenants)%len(rc.workers)]
+		rc.tenants[g.Hello.Tenant] = w
+	}
+	w.gens <- g
+}
+
+// wait stops the workers once their queues drain and gathers their
+// sessions and busy times.
+func (rc *recovery) wait() {
+	for _, w := range rc.workers {
+		close(w.gens)
+	}
+	rc.wg.Wait()
+	for _, w := range rc.workers {
+		for id, r := range w.sessions {
+			rc.sessions[id] = r
+		}
+		rc.verify += w.verify
+		rc.replay += w.replay
+		rc.resume += w.resume
+	}
+}
+
+// startRecovery provisions a fresh protocol session for a session record.
+func (s *Server) startRecovery(hello wire.Hello) *recovered {
+	if hello.Size < 2 || hello.Size > s.cfg.MaxSessionSize {
+		return &recovered{err: fmt.Errorf("session size %d outside [2,%d]", hello.Size, s.cfg.MaxSessionSize)}
+	}
+	s.met.sessionsCreated.Inc()
+	return &recovered{ps: &pooledSession{sess: protocol.NewSession(hello.Size, hello.Seed)}}
+}
+
+// apply verifies one generation and replays, skips or resumes it.
+func (w *recoveryWorker) apply(s *Server, r *recovered, g *ledger.Generation) error {
+	t := time.Now()
+	issues := g.Verify(r.ps.sess.PKI())
+	w.verify += time.Since(t)
+	if len(issues) > 0 {
+		return fmt.Errorf("evidence verification failed: %s (and %d more)", issues[0], len(issues)-1)
+	}
+	params, err := RoundParams(g.Hello.Size, g.Round)
+	if err != nil {
+		return fmt.Errorf("gen %d: stored round no longer admissible: %w", g.Gen, err)
+	}
+	t = time.Now()
+	switch {
+	case !g.Settle.IsZero():
+		// Replay: the session's deterministic state (issuer streams, memos)
+		// must advance through every settled round in order.
+		res, err := replaySettled(r.ps.sess, params, g.Round.Seq, g.Close.Payload)
+		w.replay += time.Since(t)
+		if err != nil {
+			return fmt.Errorf("gen %d: %w", g.Gen, err)
+		}
+		s.tenants.settle(g.Hello.Tenant, res.Ledger.Journal())
+	case !g.Void.IsZero():
+		// Voided: no outcome to replay. The evidence stays sealed; the
+		// round contributes nothing to session or tenant state.
+	default:
+		err := s.resumeGen(r, g, params)
+		w.resume += time.Since(t)
+		return err
+	}
+	return nil
+}
+
+// resumeGen resumes a generation interrupted mid-round: the re-run's
+// appends dedup into the artifacts already on disk, and the settle commits
+// to the union.
+func (s *Server) resumeGen(r *recovered, g *ledger.Generation, params protocol.Params) error {
+	if r.ps.log == nil {
+		sl, err := s.cfg.Ledger.ResumeSession(g.Session)
+		if err != nil {
+			return err
+		}
+		r.ps.log = sl
+	}
+	rl, err := r.ps.log.RoundAt(g.Gen)
+	if err != nil {
+		return err
+	}
+	params.Evidence = rl
+	res, err := r.ps.sess.Run(params)
+	if err != nil {
+		if verr := rl.Void(CodeRunFailed, "recovery re-run: "+err.Error()); verr != nil {
+			return fmt.Errorf("gen %d: void after failed resume: %w", g.Gen, verr)
+		}
+		s.met.ledgerRoundFailures.Inc()
+		r.logs = append(r.logs, fmt.Sprintf("dlsd: session %d gen %d voided during recovery: %v", g.Session, g.Gen, err))
+		return nil
+	}
+	if err := rl.Close(ResultToWire(g.Round.Seq, res)); err != nil {
+		return fmt.Errorf("gen %d: settle resumed round: %w", g.Gen, err)
+	}
+	s.tenants.settle(g.Hello.Tenant, res.Ledger.Journal())
+	s.met.roundsRecovered.Inc()
+	return nil
+}
+
+// replaySettled re-runs one settled round on sess and requires the
+// recomputed RoundResult to match the settle payload on disk byte for byte.
 // Crash recovery and the offline audit both rest on it.
-func replaySettled(st *ledger.Store, sess *protocol.Session, params protocol.Params, gv *ledger.GenView) (*protocol.Result, error) {
+func replaySettled(sess *protocol.Session, params protocol.Params, seq uint64, settled []byte) (*protocol.Result, error) {
 	res, err := sess.Run(params)
 	if err != nil {
 		return nil, fmt.Errorf("replay failed: %w", err)
 	}
-	rec, err := st.Get(gv.Settle)
-	if err != nil {
-		return nil, fmt.Errorf("settle record: %w", err)
-	}
-	replayed := wire.AppendRoundResult(nil, ResultToWire(gv.Round.Seq, res))
-	if !bytes.Equal(replayed, rec.Payload) {
-		return nil, fmt.Errorf("replay diverges from the settled outcome on disk (%d vs %d bytes)", len(replayed), len(rec.Payload))
+	replayed := wire.AppendRoundResult(nil, ResultToWire(seq, res))
+	if !bytes.Equal(replayed, settled) {
+		return nil, fmt.Errorf("replay diverges from the settled outcome on disk (%d vs %d bytes)", len(replayed), len(settled))
 	}
 	return res, nil
 }

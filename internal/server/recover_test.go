@@ -40,7 +40,7 @@ func roundOf(hello wire.Hello, seq uint64) wire.Round {
 // landed, and session 4 (tenant c) gets a voided generation.
 func buildMultiTenantLedger(t *testing.T, dir string) {
 	t.Helper()
-	st := openLedger(t, dir)
+	st := deferLedger(t, dir)
 	s, err := server.Listen(server.Config{Ledger: st, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func readSegments(t *testing.T, dir string) map[string][]byte {
 // listenAt runs crash recovery over dir at the given GOMAXPROCS.
 func listenAt(t *testing.T, dir string, procs int) (*server.Server, *ledger.Store, error) {
 	t.Helper()
-	st := openLedger(t, dir)
+	st := deferLedger(t, dir)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	s, err := server.Listen(server.Config{Ledger: st, Logf: t.Logf})
 	if err != nil {
@@ -244,8 +244,8 @@ func TestRecoveryReportsLowestFailingSession(t *testing.T) {
 	st := openLedger(t, base)
 	for _, id := range []uint64{3, 4} {
 		hello := recoveryTenants[id-1]
-		// An authentic bid smuggled into a settled generation: the settle
-		// record does not commit to it, so VerifySession flags a gap.
+		// An authentic bid smuggled into a settled generation: it names a
+		// generation closed earlier in the log, an after-close issue.
 		forged := sign.NewSigner(1, hello.Seed).Sign([]byte("late bid"))
 		if _, _, err := st.Put(ledger.Record{
 			Kind: ledger.KindBid, Session: id, Gen: 1, Slot: 99,

@@ -153,7 +153,7 @@ func TestSoakStream(t *testing.T) {
 	baseFDs := server.FDCount()
 
 	dir := t.TempDir()
-	st := openLedger(t, dir)
+	st := deferLedger(t, dir)
 	h := servertest.Start(t, server.Config{
 		Ledger:          st,
 		MaxStreamCount:  loads + 16,

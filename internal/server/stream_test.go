@@ -205,7 +205,7 @@ func TestStreamLedgerCrashRecovery(t *testing.T) {
 
 	// Epoch 1: a depth-2 stream settles the first 3 loads through the real
 	// daemon — the evidence spine is written by the pipelined path itself.
-	st1 := openLedger(t, dir)
+	st1 := deferLedger(t, dir)
 	s1, err := server.Listen(server.Config{Ledger: st1, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -278,7 +278,7 @@ func TestStreamLedgerCrashRecovery(t *testing.T) {
 	}
 
 	// Epoch 3: restart. Recovery must settle every trailing open gen.
-	st3 := openLedger(t, dir)
+	st3 := deferLedger(t, dir)
 	s3, err := server.Listen(server.Config{Ledger: st3, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("restart over mid-stream crash: %v", err)

@@ -14,16 +14,6 @@ import (
 // ErrEmpty is returned by estimators that need at least one observation.
 var ErrEmpty = errors.New("stats: empty sample")
 
-// Summary holds the usual descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Std    float64 // sample standard deviation (n-1 denominator)
-	Min    float64
-	Max    float64
-	Median float64
-}
-
 // Mean returns the arithmetic mean of xs. It returns 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -119,33 +109,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 // Median returns the median of xs.
 func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }
 
-// Summarize computes a full Summary of xs.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	mn, _ := Min(xs)
-	mx, _ := Max(xs)
-	med, _ := Median(xs)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		Std:    Std(xs),
-		Min:    mn,
-		Max:    mx,
-		Median: med,
-	}, nil
-}
-
-// CI95 returns the half-width of a 95% normal-approximation confidence
-// interval for the mean of xs. Returns 0 when len(xs) < 2.
-func CI95(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return 1.96 * Std(xs) / math.Sqrt(float64(len(xs)))
-}
-
 // RelErr returns |got-want| / max(|want|, floor). The floor prevents division
 // blow-ups when the reference value is (near) zero.
 func RelErr(got, want, floor float64) float64 {
@@ -154,21 +117,6 @@ func RelErr(got, want, floor float64) float64 {
 		denom = floor
 	}
 	return math.Abs(got-want) / denom
-}
-
-// MaxAbsDiff returns the largest absolute element-wise difference between a
-// and b. It returns an error if the lengths differ.
-func MaxAbsDiff(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	var m float64
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
-		}
-	}
-	return m, nil
 }
 
 // ArgMax returns the index of the maximum element of xs (first occurrence),
@@ -184,39 +132,6 @@ func ArgMax(xs []float64) int {
 		}
 	}
 	return best
-}
-
-// Crossover scans the paired series a and b (same x-grid) and returns the
-// first index i > 0 at which sign(a[i]-b[i]) differs from sign(a[0]-b[0]),
-// i.e. where the winner between the two series flips. It returns -1 if the
-// ordering never changes or the initial difference is zero everywhere.
-// Experiment A1 uses this to locate speedup-saturation points.
-func Crossover(a, b []float64) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	sign := func(x float64) int {
-		switch {
-		case x > 0:
-			return 1
-		case x < 0:
-			return -1
-		}
-		return 0
-	}
-	s0 := 0
-	for i := 0; i < n; i++ {
-		s := sign(a[i] - b[i])
-		if s0 == 0 {
-			s0 = s
-			continue
-		}
-		if s != 0 && s != s0 {
-			return i
-		}
-	}
-	return -1
 }
 
 // Monotone reports whether xs is non-decreasing (dir > 0) or non-increasing
@@ -251,18 +166,4 @@ func Linspace(lo, hi float64, n int) []float64 {
 	}
 	out[n-1] = hi // avoid accumulated rounding at the endpoint
 	return out
-}
-
-// Geomspace returns n logarithmically spaced values from lo to hi inclusive.
-// lo and hi must be positive and n at least 2.
-func Geomspace(lo, hi float64, n int) []float64 {
-	if lo <= 0 || hi <= 0 {
-		panic("stats: Geomspace needs positive endpoints")
-	}
-	ls := Linspace(math.Log(lo), math.Log(hi), n)
-	for i, v := range ls {
-		ls[i] = math.Exp(v)
-	}
-	ls[0], ls[n-1] = lo, hi
-	return ls
 }

@@ -99,54 +99,10 @@ func TestQuantileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 5 || s.Min != 1 || s.Max != 5 {
-		t.Fatalf("bad summary %+v", s)
-	}
-	almost(t, s.Mean, 3, 1e-15, "mean")
-	almost(t, s.Median, 3, 1e-15, "median")
-	if _, err := Summarize(nil); err != ErrEmpty {
-		t.Fatal("Summarize(nil) should err")
-	}
-}
-
-func TestCI95ShrinksWithN(t *testing.T) {
-	r := xrand.New(1)
-	small := make([]float64, 30)
-	large := make([]float64, 3000)
-	for i := range small {
-		small[i] = r.Norm()
-	}
-	for i := range large {
-		large[i] = r.Norm()
-	}
-	if CI95(large) >= CI95(small) {
-		t.Fatalf("CI95 did not shrink: n=30 %v vs n=3000 %v", CI95(small), CI95(large))
-	}
-	if CI95([]float64{1}) != 0 {
-		t.Fatal("CI95 of single sample must be 0")
-	}
-}
-
 func TestRelErr(t *testing.T) {
 	almost(t, RelErr(1.1, 1.0, 1e-12), 0.1, 1e-12, "RelErr")
 	// Floor kicks in when want == 0.
 	almost(t, RelErr(0.5, 0, 1), 0.5, 1e-15, "RelErr floored")
-}
-
-func TestMaxAbsDiff(t *testing.T) {
-	d, err := MaxAbsDiff([]float64{1, 2, 3}, []float64{1, 2.5, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, d, 1, 1e-15, "MaxAbsDiff")
-	if _, err := MaxAbsDiff([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("expected length mismatch error")
-	}
 }
 
 func TestArgMax(t *testing.T) {
@@ -155,22 +111,6 @@ func TestArgMax(t *testing.T) {
 	}
 	if ArgMax(nil) != -1 {
 		t.Fatal("ArgMax(nil) should be -1")
-	}
-}
-
-func TestCrossover(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	b := []float64{2, 2.5, 2.8, 3}
-	// a starts below b, overtakes at index 2 (3 > 2.8).
-	if got := Crossover(a, b); got != 2 {
-		t.Fatalf("Crossover = %d, want 2", got)
-	}
-	if got := Crossover([]float64{1, 2}, []float64{2, 3}); got != -1 {
-		t.Fatalf("no-crossover case = %d, want -1", got)
-	}
-	// Leading ties are skipped when establishing the initial sign.
-	if got := Crossover([]float64{1, 1, 2}, []float64{1, 2, 1}); got != 2 {
-		t.Fatalf("tie-then-flip = %d, want 2", got)
 	}
 }
 
@@ -204,13 +144,6 @@ func TestLinspace(t *testing.T) {
 	for i := range want {
 		almost(t, xs[i], want[i], 1e-15, "Linspace elem")
 	}
-}
-
-func TestGeomspace(t *testing.T) {
-	xs := Geomspace(1, 100, 3)
-	almost(t, xs[0], 1, 0, "Geomspace lo")
-	almost(t, xs[1], 10, 1e-9, "Geomspace mid")
-	almost(t, xs[2], 100, 0, "Geomspace hi")
 }
 
 // Property: the sample mean of any finite float slice lies in [min, max].

@@ -192,23 +192,6 @@ func TestExpPanics(t *testing.T) {
 	New(1).Exp(0)
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(31)
-	for n := 0; n <= 20; n++ {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestShufflePreservesElements(t *testing.T) {
 	r := New(37)
 	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
