@@ -3,7 +3,9 @@
 // the segment log (forged or truncated storage fails immediately), every
 // embedded signature is re-verified against the session's deterministic
 // PKI, every settled round is re-executed and must reproduce its settle
-// payload byte for byte, and the theorem checkers (2.1, 5.1–5.4) are
+// payload and its journal byte for byte (the daemon's restart applies
+// journals and re-executes nothing but legacy rounds, so this is where a
+// rewritten settle and journal pair is caught), and the theorem checkers (2.1, 5.1–5.4) are
 // replayed against every distinct (network, config, seed) cell the ledger
 // exercised. The outcome is the same machine-readable conformance report
 // dlsverify emits (internal/verify/schemas/conformance_report.schema.json).

@@ -53,9 +53,10 @@ func main() {
 	reg := obs.NewRegistry()
 	var store *ledger.Store
 	if *ledgerDir != "" {
-		// Listen opens the ledger: crash recovery verifies and replays each
-		// generation as the open's scan reads its close record, and logs one
-		// "recovery:" line with the counts and the time of each stage.
+		// Listen opens the ledger: crash recovery verifies each generation
+		// as the open's scan reads its close record and applies its journal
+		// (a legacy one is replayed), and logs one "recovery:" line with
+		// the counts and the time of each stage.
 		store = ledger.Defer(*ledgerDir, 0, ledger.NewMetrics(reg, "dlsd"))
 		defer store.Close()
 		log.Printf("evidence ledger at %s", *ledgerDir)

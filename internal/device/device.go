@@ -208,9 +208,14 @@ func (iss *Issuer) Unit() float64 { return iss.unit }
 // Reset invalidates every previously minted identifier and starts a new mint
 // epoch. Table storage is retained (one bulk clear, no reallocation), so the
 // next round's Mint refills warm cells instead of growing a fresh table.
-func (iss *Issuer) Reset() {
+// rng, if not nil, becomes the source of the identifiers minted from now on,
+// so a caller that seeds each epoch on its own keeps the table warm too.
+func (iss *Issuer) Reset(rng *xrand.Rand) {
 	iss.mu.Lock()
 	defer iss.mu.Unlock()
+	if rng != nil {
+		iss.rng = rng
+	}
 	clear(iss.slots)
 	iss.live = 0
 	iss.gen = 0

@@ -21,7 +21,7 @@ func TestIssuerReset(t *testing.T) {
 	if _, err := iss.Verify(att); err != nil {
 		t.Fatal(err)
 	}
-	iss.Reset()
+	iss.Reset(nil)
 	// Blocks of the previous epoch are now forgeries.
 	if _, err := iss.Verify(att); !errors.Is(err, ErrForgedBlock) {
 		t.Fatalf("pre-reset attestation accepted after Reset: %v", err)
@@ -55,7 +55,7 @@ func TestMintIntoReusesBuffer(t *testing.T) {
 	}
 	// Steady state: reset + re-mint into the same buffer allocates no blocks.
 	allocs := testing.AllocsPerRun(50, func() {
-		iss.Reset()
+		iss.Reset(nil)
 		if _, err := iss.MintInto(buf[:0], 1); err != nil {
 			t.Fatal(err)
 		}

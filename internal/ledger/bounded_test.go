@@ -58,16 +58,19 @@ func serveBounded(t *testing.T, dir string, n int) (counts, uint64) {
 		}
 		return rq, rl
 	}
+	// run runs the round as the daemon does: seeded by its generation,
+	// its journal staged for the close.
 	run := func(rq wire.Round, rl *ledger.RoundLog) wire.RoundResult {
 		params, err := server.RoundParams(hello.Size, rq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		params.Evidence = rl
+		params.Evidence, params.Gen = rl, rl.Gen()
 		res, err := sess.Run(params)
 		if err != nil {
 			t.Fatalf("round %d: %v", rq.Seq, err)
 		}
+		rl.RecordJournal(server.JournalToWire(res))
 		return server.ResultToWire(rq.Seq, res)
 	}
 	var last *ledger.RoundLog

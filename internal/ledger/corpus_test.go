@@ -30,12 +30,13 @@ var kindNames = map[Kind]string{
 	KindFine:      "fine",
 	KindSettle:    "settle",
 	KindVoid:      "void",
+	KindJournal:   "journal",
 }
 
 // buildCorpusLedger records a deterministic session that persists every
 // record kind: a settled round carrying bids, allocations, load acks, a
-// grievance, a bill, and a detection fine, then a second round that is
-// voided.
+// grievance, a bill, a detection fine and a journal, then a second round
+// that is voided.
 func buildCorpusLedger(t *testing.T) (*Store, *MemBackend) {
 	t.Helper()
 	be := NewMemBackend()
@@ -71,6 +72,7 @@ func buildCorpusLedger(t *testing.T) (*Store, *MemBackend) {
 		Att:   att,
 		Meter: reading,
 	})
+	rl.RecordJournal([]wire.JournalEntry{{From: -1, To: 1, Amount: 2.5}, {From: 2, To: -1, Amount: 50}, {From: -1, To: 1, Amount: 25}})
 	settleRound(t, rl, 1)
 	recordRound(t, sl, 2, 4).Void("round_failed", "corpus: voided tail round")
 	if err := rl.Err(); err != nil {

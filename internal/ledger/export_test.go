@@ -48,3 +48,6 @@ func DeferBackend(be Backend, met *Metrics) *Store {
 	}
 	return s
 }
+
+// RaceEnabled exposes raceEnabled to the external test package.
+const RaceEnabled = raceEnabled

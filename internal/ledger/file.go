@@ -14,7 +14,8 @@ import (
 )
 
 // FileBackend is the daemon's durable backend: an append-only segment log.
-// Each segment file starts with an 8-byte magic and holds a sequence of
+// Each segment file starts with an 8-byte magic naming its format and holds
+// a sequence of
 //
 //	u32 frame length | frame bytes | 32-byte SHA-256 of the frame
 //
@@ -32,6 +33,11 @@ import (
 // tail write or fsync is sticky: every later Put and Sync returns it until
 // the log is reopened, because a retried fsync can report success for pages
 // the kernel already dropped.
+//
+// Format versions: segments are written as DLSLEDG2. A DLSLEDG1 segment,
+// written before rounds were seeded by generation and journaled, opens the
+// same way, and Legacy reports its records; nothing is appended to one: the
+// first Put rolls to a new segment.
 //
 // Crash tolerance at open: a torn record at the tail of the LAST segment —
 // the footprint of a crash mid-append — is truncated away and appending
@@ -54,8 +60,9 @@ type FileBackend struct {
 
 // segment is one segment file and the length of its valid records.
 type segment struct {
-	f    *os.File
-	size int64
+	f      *os.File
+	size   int64
+	legacy bool // a DLSLEDG1 segment
 }
 
 type recLoc struct {
@@ -67,8 +74,12 @@ type recLoc struct {
 // DefaultSegmentSize is the roll threshold for new FileBackends.
 const DefaultSegmentSize = 64 << 20
 
-// segMagic opens every segment file.
-var segMagic = []byte("DLSLEDG1")
+// segMagic opens every segment file written; segMagicV1 opens the legacy
+// ones. They differ in the last byte only.
+var (
+	segMagic   = []byte("DLSLEDG2")
+	segMagicV1 = []byte("DLSLEDG1")
+)
 
 // ErrCorrupt reports an unreadable record that cannot be a torn tail.
 var ErrCorrupt = errors.New("ledger: corrupt segment record")
@@ -137,8 +148,9 @@ type segRec struct {
 // loadChunk is a run of whole records of one segment, read and
 // digest-checked: their frames back to back in data, in file order.
 type loadChunk struct {
-	data []byte
-	recs []segRec
+	data   []byte
+	recs   []segRec
+	legacy bool // the segment is DLSLEDG1
 }
 
 // segLoad is one segment's pass at open: its chunks, then, once chunks is
@@ -146,6 +158,7 @@ type loadChunk struct {
 type segLoad struct {
 	chunks chan *loadChunk
 	size   int64
+	legacy bool
 	err    error
 }
 
@@ -188,7 +201,7 @@ func (b *FileBackend) loadAll(names []string, visit func(h Hash, frame []byte) e
 		go func() {
 			defer wg.Done()
 			defer close(sl.chunks)
-			sl.size, sl.err = loadSegment(b.dir, i, b.segs[i].f, i == last, sl.chunks, free, stop)
+			sl.size, sl.legacy, sl.err = loadSegment(b.dir, i, b.segs[i].f, i == last, sl.chunks, free, stop)
 		}()
 	}
 	defer func() {
@@ -206,6 +219,7 @@ func (b *FileBackend) loadAll(names []string, visit func(h Hash, frame []byte) e
 		}
 		sl := loads[i]
 		for c := range sl.chunks {
+			b.segs[i].legacy = c.legacy
 			pos := 0
 			for _, r := range c.recs {
 				frame := c.data[pos : pos+r.loc.n]
@@ -228,19 +242,19 @@ func (b *FileBackend) loadAll(names []string, visit func(h Hash, frame []byte) e
 		if sl.err != nil {
 			return fmt.Errorf("%s: %w", names[i], sl.err)
 		}
-		b.segs[i].size = sl.size
+		b.segs[i].size, b.segs[i].legacy = sl.size, sl.legacy
 	}
 	return nil
 }
 
 // loadSegment reads one segment front to back, digest-checks every record
 // and hands the intact ones to out in chunks, taken from free when one is
-// there. It returns the segment's valid length; a torn tail is truncated
-// away iff last.
-func loadSegment(dir string, seg int, f *os.File, last bool, out chan<- *loadChunk, free <-chan *loadChunk, stop <-chan struct{}) (int64, error) {
+// there. It returns the segment's valid length and whether it is a
+// DLSLEDG1 segment; a torn tail is truncated away iff last.
+func loadSegment(dir string, seg int, f *os.File, last bool, out chan<- *loadChunk, free <-chan *loadChunk, stop <-chan struct{}) (int64, bool, error) {
 	info, err := f.Stat()
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	size := info.Size()
 	hdr := make([]byte, len(segMagic))
@@ -249,13 +263,15 @@ func loadSegment(dir string, seg int, f *os.File, last bool, out chan<- *loadChu
 		// A roll interrupted between creating the file and writing (or
 		// fsyncing) its magic: a torn tail holding no records. Finish the
 		// roll the crash cut short.
-		return int64(len(segMagic)), writeSegmentHeader(f, dir)
+		return int64(len(segMagic)), false, writeSegmentHeader(f, dir)
 	}
-	if err != nil || !bytes.Equal(hdr, segMagic) {
-		return 0, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
+	legacy := bytes.Equal(hdr, segMagicV1)
+	if err != nil || !legacy && !bytes.Equal(hdr, segMagic) {
+		return 0, false, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
 	}
 	c := newChunk(free)
 	send := func() error {
+		c.legacy = legacy
 		select {
 		case out <- c:
 		case <-stop:
@@ -291,7 +307,7 @@ func loadSegment(dir string, seg int, f *os.File, last bool, out chan<- *loadChu
 	if err == nil && len(c.recs) > 0 {
 		err = send()
 	}
-	return size, err
+	return size, legacy, err
 }
 
 // newChunk returns an empty chunk, reusing one from free if there is one.
@@ -414,7 +430,7 @@ func (b *FileBackend) Put(h Hash, frame []byte) error {
 	if _, ok := b.index[h]; ok {
 		return nil
 	}
-	if b.segs[len(b.segs)-1].size >= b.segSize {
+	if last := b.segs[len(b.segs)-1]; last.legacy || last.size >= b.segSize {
 		if err := b.rollLocked(); err != nil {
 			return err
 		}
@@ -590,6 +606,14 @@ func (b *FileBackend) closeAll() error {
 	}
 	b.segs = nil
 	return first
+}
+
+// Legacy reports whether h's record sits in a DLSLEDG1 segment.
+func (b *FileBackend) Legacy(h Hash) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	loc, ok := b.index[h]
+	return ok && b.segs[loc.seg].legacy
 }
 
 // Forget drops hs from the index; their records stay in the log.

@@ -7,7 +7,7 @@
 //
 //	session ── round-open(1) ── round-open(2) ── ...      (the spine)
 //	               │ ▲
-//	   bid/alloc/load-ack/grievance/bill/fine  (parent: the round-open)
+//	   bid/alloc/load-ack/grievance/bill/fine/journal  (parent: the round-open)
 //	               │
 //	            settle  (parents: round-open + every artifact, sorted)
 //
@@ -70,6 +70,7 @@ const (
 	KindFine      Kind = 8  // wire.DetectionRec — one arbitration outcome
 	KindSettle    Kind = 9  // wire.RoundResult — the round's durable outcome
 	KindVoid      Kind = 10 // wire.SrvError — the round was abandoned, evidence intact
+	KindJournal   Kind = 11 // wire journal — the settled round's transfers, committed by its settle
 )
 
 // String names the kind.

@@ -65,6 +65,7 @@ type RoundLog struct {
 	err     error
 	enc     []byte        // inner-frame scratch, reused under mu
 	bidWrap []sign.Signed // RecordBid wrapper, reused under mu
+	journal []byte        // the staged journal frame; nil if none
 }
 
 // OpenRound appends the next generation's opening record, parented on the
@@ -210,6 +211,17 @@ func (rl *RoundLog) RecordBill(b wire.Bill) {
 	rl.put(KindBill, b.From, rl.enc)
 }
 
+// RecordJournal stages the round's payment journal — its transfers, in
+// order — for the close: CloseDeferred appends it as the generation's
+// journal artifact just before the settle record, whose parent set commits
+// to it. A restart applies it to the tenant's book instead of re-running
+// the round. A later call replaces the staged journal; Void drops it.
+func (rl *RoundLog) RecordJournal(entries []wire.JournalEntry) {
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	rl.journal = wire.AppendJournal(rl.journal[:0], entries)
+}
+
 // closeParents assembles the deterministic parent set of a settle or void
 // record: the round-open first, then every artifact sorted by address
 // (insertion order is scheduling-dependent; the sort makes the close record
@@ -220,8 +232,9 @@ func (rl *RoundLog) closeParents() []Hash {
 	return ps
 }
 
-// Close appends the round's fine artifacts and its settle record — whose
-// parent set commits to every artifact recorded — then fsyncs the backend.
+// Close appends the round's fine artifacts, its staged journal and its
+// settle record — whose parent set commits to every artifact recorded —
+// then fsyncs the backend.
 // Only after Close returns nil is the round durably settled; the daemon
 // acknowledges the client strictly after this point (fsync-before-ack).
 func (rl *RoundLog) Close(rr wire.RoundResult) error {
@@ -231,9 +244,9 @@ func (rl *RoundLog) Close(rr wire.RoundResult) error {
 	return rl.sl.st.Sync()
 }
 
-// CloseDeferred appends the round's fine artifacts and settle record
-// without the durability barrier: the settle is in the log but not yet
-// fsynced. A pipelined consumer group-commits — it defers several
+// CloseDeferred appends the round's fine artifacts, staged journal and
+// settle record without the durability barrier: the settle is in the log
+// but not yet fsynced. A pipelined consumer group-commits — it defers several
 // consecutive settles and covers them with one SessionLog.Sync — so the
 // barrier's fixed cost amortizes across the pipeline window while
 // fsync-before-ack still holds per load (no result is acknowledged before
@@ -249,6 +262,12 @@ func (rl *RoundLog) CloseDeferred(rr wire.RoundResult) error {
 	for i, d := range rr.Detections {
 		rl.enc = wire.AppendDetection(rl.enc[:0], d)
 		rl.put(KindFine, i, rl.enc)
+		if rl.err != nil {
+			return rl.err
+		}
+	}
+	if rl.journal != nil {
+		rl.put(KindJournal, 0, rl.journal)
 		if rl.err != nil {
 			return rl.err
 		}

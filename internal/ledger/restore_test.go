@@ -26,31 +26,23 @@ func openTail(t *testing.T, dir string, id uint64, n int) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	net := servertest.ChainNet(4, 17)
 	hello := st.Session(id).Hello
-	sess := protocol.NewSession(hello.Size, hello.Seed)
 	sl, err := st.ResumeSession(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seq := uint64(1); seq <= uint64(n)+1; seq++ {
-		params, err := server.RoundParams(hello.Size, servertest.RoundFor(net, seq, 100+seq))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq == 2 {
-			continue // voided: never run
-		}
-		if seq == uint64(n)+1 {
-			rl, err := sl.OpenRound(servertest.RoundFor(net, seq, 100+seq))
-			if err != nil {
-				t.Fatal(err)
-			}
-			params.Evidence = rl
-		}
-		if _, err := sess.Run(params); err != nil {
-			t.Fatalf("round %d: %v", seq, err)
-		}
+	rq := servertest.RoundFor(servertest.ChainNet(4, 17), uint64(n)+1, 101+uint64(n))
+	params, err := server.RoundParams(hello.Size, rq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rl, err := sl.OpenRound(rq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params.Evidence, params.Gen = rl, rl.Gen()
+	if _, err := protocol.NewSession(hello.Size, hello.Seed).Run(params); err != nil {
+		t.Fatalf("round %d: %v", rq.Seq, err)
 	}
 	if err := st.Sync(); err != nil {
 		t.Fatal(err)

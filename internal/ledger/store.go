@@ -81,6 +81,11 @@ type GenView struct {
 	Artifacts []Hash // first-per-slot artifacts, append order
 	Settle    Hash
 	Void      Hash
+	Journal   Hash // the settle's journal artifact, if any
+	// Legacy: the round-open record sits in storage of the first format,
+	// written before rounds were seeded by generation and journaled (see
+	// FileBackend). Such a round replays only on its session's stream.
+	Legacy bool
 	// While Restore scans, the records themselves: the artifacts', parallel
 	// to Artifacts, and the first close record.
 	recs     []Record
@@ -205,7 +210,7 @@ type RestoreStats struct {
 }
 
 // Restore opens a store from Defer in one pass over its log, handing each
-// generation to fn as soon as it can be replayed, and forgetting it as it
+// generation to fn as soon as it can be applied, and forgetting it as it
 // hands it over, so the store never holds more than the generations still
 // open. fn gets:
 //
@@ -563,6 +568,17 @@ func (s *Store) ingestLocked(h Hash, rec Record) {
 		}
 	}
 	s.wireLocked(h, rec)
+	if lb, ok := s.be.(legacyBackend); ok && rec.Kind == KindRound && lb.Legacy(h) {
+		if gv := s.genLocked(rec.Session, rec.Gen); gv != nil && gv.Open == h {
+			gv.Legacy = true
+		}
+	}
+}
+
+// legacyBackend is a backend that can tell records stored in the first
+// format apart (FileBackend).
+type legacyBackend interface {
+	Legacy(h Hash) bool
 }
 
 // wireLocked wires one known, persisted record into the views. The
@@ -650,6 +666,9 @@ func (s *Store) wireLocked(h Hash, rec Record) {
 			return
 		}
 		gv.Artifacts = append(gv.Artifacts, h)
+		if rec.Kind == KindJournal {
+			gv.Journal = h
+		}
 		if s.restore != nil {
 			rec.Parents = nil // Verify reads an artifact's kind and payload only
 			gv.recs = append(gv.recs, rec)

@@ -36,10 +36,11 @@ type Generation struct {
 // record's parent set must commit to exactly the round-open plus the
 // artifacts, the generation may not carry both a settle and a void, every
 // artifact payload must decode under its declared kind, and every embedded
-// signature must verify against pki (nil: shapes only). Passing the PKI of
-// the protocol session that replays the generation leaves every signature
-// that verified in its memo, so the replay does not check it again. The
-// returned issues are report-grade: none means the evidence is internally
+// signature must verify against pki (nil: shapes only). Signatures are
+// checked in place, over the records' own bytes. Passing the PKI of the
+// protocol session that replays the generation leaves every signature that
+// verified in its memo, so a replay does not check it again. The returned
+// issues are report-grade: none means the evidence is internally
 // consistent and authentic (whether the economics hold is the replay's and
 // the theorem checkers' job).
 func (g *Generation) Verify(pki *sign.PKI) []Issue {
@@ -133,11 +134,26 @@ func (s *Store) VerifySession(id uint64) []Issue {
 	return issues
 }
 
-// verifyArtifact decodes one artifact payload under its declared kind and
-// verifies every embedded signature. pki may be nil (the session record was
-// damaged); payload shape is still checked.
+// artifactTypes maps each artifact kind to the wire frame its payload holds.
+var artifactTypes = [...]wire.MsgType{
+	KindBid:       wire.TypeBid,
+	KindAlloc:     wire.TypeAlloc,
+	KindLoadAck:   wire.TypeLoad,
+	KindGrievance: wire.TypeGrievance,
+	KindBill:      wire.TypeBill,
+	KindFine:      wire.TypeDetection,
+	KindJournal:   wire.TypeJournal,
+}
+
+// verifyArtifact checks one artifact payload's shape under its declared
+// kind and verifies every embedded signature in place, over the record's
+// own bytes: nothing is decoded into messages or copied. pki may be nil
+// (the session record was damaged); payload shape is still checked.
 func verifyArtifact(pki *sign.PKI, rec Record) error {
-	check := func(name string, sg sign.Signed) error {
+	if int(rec.Kind) >= len(artifactTypes) || artifactTypes[rec.Kind] == 0 {
+		return fmt.Errorf("unexpected artifact kind %s", rec.Kind)
+	}
+	return wire.VisitSigned(rec.Payload, artifactTypes[rec.Kind], func(name string, sg sign.Signed) error {
 		if signedZero(sg) || pki == nil {
 			return nil
 		}
@@ -145,84 +161,5 @@ func verifyArtifact(pki *sign.PKI, rec Record) error {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		return nil
-	}
-	checkAlloc := func(g wire.Alloc) error {
-		for _, f := range []struct {
-			name string
-			sg   sign.Signed
-		}{
-			{"PrevLoad", g.PrevLoad}, {"Load", g.Load}, {"PrevEquiv", g.PrevEquiv},
-			{"PrevBid", g.PrevBid}, {"EchoEquiv", g.EchoEquiv},
-		} {
-			if err := check(f.name, f.sg); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	whole := func(n int, err error) error {
-		if err != nil {
-			return err
-		}
-		if n != len(rec.Payload) {
-			return fmt.Errorf("%d trailing payload bytes", len(rec.Payload)-n)
-		}
-		return nil
-	}
-	switch rec.Kind {
-	case KindBid:
-		b, n, err := wire.DecodeBid(rec.Payload)
-		if err := whole(n, err); err != nil {
-			return err
-		}
-		for i, sg := range b.Signed {
-			if signedZero(sg) || pki == nil {
-				continue
-			}
-			if err := pki.Verify(sg); err != nil {
-				return fmt.Errorf("signed[%d]: %w", i, err)
-			}
-		}
-	case KindAlloc:
-		g, n, err := wire.DecodeAlloc(rec.Payload)
-		if err := whole(n, err); err != nil {
-			return err
-		}
-		return checkAlloc(g)
-	case KindLoadAck:
-		_, n, err := wire.DecodeLoad(rec.Payload)
-		return whole(n, err)
-	case KindGrievance:
-		gr, n, err := wire.DecodeGrievance(rec.Payload)
-		if err := whole(n, err); err != nil {
-			return err
-		}
-		if err := checkAlloc(gr.G); err != nil {
-			return err
-		}
-		return check("meter", gr.Meter.Msg)
-	case KindBill:
-		b, n, err := wire.DecodeBill(rec.Payload)
-		if err := whole(n, err); err != nil {
-			return err
-		}
-		if err := checkAlloc(b.Proof.G); err != nil {
-			return fmt.Errorf("proof G: %w", err)
-		}
-		if b.Proof.HasSucc {
-			if err := check("proof succ bid", b.Proof.SuccBid); err != nil {
-				return err
-			}
-		}
-		if err := check("proof own bid", b.Proof.OwnBid); err != nil {
-			return err
-		}
-		return check("proof meter", b.Proof.Meter.Msg)
-	case KindFine:
-		_, n, err := wire.DecodeDetection(rec.Payload)
-		return whole(n, err)
-	default:
-		return fmt.Errorf("unexpected artifact kind %s", rec.Kind)
-	}
-	return nil
+	})
 }

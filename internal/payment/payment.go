@@ -195,6 +195,13 @@ func (l *Ledger) MechanismOutlay() float64 {
 	return -l.Balance(Mechanism)
 }
 
+// Len returns the number of journal entries.
+func (l *Ledger) Len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.journal)
+}
+
 // ForEachEntry calls fn for every journal entry in order while holding the
 // ledger lock. It exists for bulk consumers (the daemon's per-tenant books)
 // that would otherwise force a full journal copy per round; fn must not call

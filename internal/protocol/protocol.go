@@ -64,9 +64,18 @@ type Params struct {
 	Net     *dlt.Network  // true values (W) and link times (Z)
 	Profile agent.Profile // one behavior per processor; index 0 must be honest
 	Cfg     core.Config
-	// Seed drives every source of randomness: key generation, Λ block
-	// identifiers and audit coin flips. Same Params ⇒ same run.
+	// Seed drives the round's own randomness: the audit coin flips and,
+	// in a one-round Run, key generation and Λ block identifiers. Same
+	// Params ⇒ same run. In a Session, keys come from the session seed,
+	// and so do Λ identifiers (see Gen).
 	Seed uint64
+	// Gen, when not 0, makes the round a pure function of (session seed,
+	// Gen, the rest of Params): its Λ identifiers come from an issuer
+	// seeded by the session seed and Gen, not from the session's stream.
+	// A durable daemon round passes its ledger generation, so a restart can
+	// re-run any one round without the rounds before it. Gen 0 keeps the
+	// session stream, which continues from round to round.
+	Gen uint64
 	// LambdaUnit is the Λ block granularity; 0 means 1/4096.
 	LambdaUnit float64
 	// Inject optionally injects message-plane and processor faults into the
@@ -214,9 +223,10 @@ func Run(p Params) (*Result, error) {
 // over networks of the same size; it is NOT safe for concurrent Runs.
 //
 // Keys derive from the seed given at session creation. Params.Seed of an
-// individual Run still drives that round's audit coin flips; Λ identifiers
-// continue from the issuer's stream, fresh (and previously unseen) every
-// round.
+// individual Run still drives that round's audit coin flips. Λ identifiers
+// come from (session seed, Params.Gen) when Gen is not 0; with Gen 0 they
+// continue from the session's issuer stream, fresh (and previously unseen)
+// every round.
 type Session struct {
 	size int
 	seed uint64
@@ -345,17 +355,23 @@ func (r *runner) resetRound(p Params, unit float64, seed uint64) error {
 	if r.inj == nil {
 		r.inj = fault.None
 	}
-	// The Λ issuer is unit-specific; recreate on first use or unit change,
-	// otherwise just open a fresh mint epoch.
+	// The Λ issuer is unit-specific; recreate it, and the session stream,
+	// on first use or unit change. Every round opens a fresh mint epoch, on
+	// the session stream (Gen 0) or on the generation's own seed.
 	if r.issuer == nil || r.unit != unit {
-		iss, err := device.NewIssuer(unit, xrand.New(seed^0x4c414d42 /* "LAMB" */))
+		r.lamb = xrand.New(seed ^ lambSalt)
+		iss, err := device.NewIssuer(unit, r.lamb)
 		if err != nil {
 			return err
 		}
 		r.issuer = iss
 		r.blockBuf = make([]device.Block, 0, int(1/unit)+1)
+	}
+	if p.Gen == 0 {
+		r.issuer.Reset(r.lamb)
 	} else {
-		r.issuer.Reset()
+		r.genLamb = xrand.Seeded(genLambdaSeed(seed, p.Gen))
+		r.issuer.Reset(&r.genLamb)
 	}
 	r.unit = unit
 
@@ -412,6 +428,16 @@ func (r *runner) resetRound(p Params, unit float64, seed uint64) error {
 	r.corrupted.Store(false)
 	r.stats = Stats{}
 	return nil
+}
+
+// lambSalt ("LAMB") separates the Λ issuer's seeds from the key seeds.
+const lambSalt = 0x4c414d42
+
+// genLambdaSeed is the Λ issuer seed of generation gen (>= 1) of the session
+// seeded by seed.
+func genLambdaSeed(seed, gen uint64) uint64 {
+	g := xrand.Seeded(gen)
+	return seed ^ lambSalt ^ g.Uint64()
 }
 
 // drain empties a channel of stragglers from a previous (aborted) round.
@@ -474,6 +500,8 @@ type runner struct {
 	signers  []*sign.Signer
 	meters   []*device.Meter
 	issuer   *device.Issuer
+	lamb     *xrand.Rand // the session's Λ stream (Gen 0 rounds)
+	genLamb  xrand.Rand  // the current Gen >= 1 round's Λ source
 	blockBuf []device.Block
 	ledger   *payment.Ledger
 	arb      *arbiter

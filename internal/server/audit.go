@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -34,8 +35,12 @@ type AuditOptions struct {
 //  1. structural issues and evidence forks collected while wiring the DAG;
 //  2. per-session hash-chain and signature re-verification;
 //  3. deterministic replay: every settled generation is re-run, in order,
-//     on a fresh protocol session, and the recomputed RoundResult must be
-//     byte-identical to the settle payload on disk;
+//     on a fresh protocol session (a legacy one on the session's Λ stream,
+//     the others seeded by their generation), the recomputed RoundResult
+//     must be byte-identical to the settle payload on disk, and the
+//     recomputed journal to the journal artifact (which every settle but a
+//     legacy one carries). This is what crash recovery, which applies
+//     journals, does not re-check;
 //  4. the theorem checkers (2.1, 5.1–5.4) replayed against every distinct
 //     (network, config, seed) cell the log's rounds exercised.
 //
@@ -176,13 +181,32 @@ func (a *auditor) replayGen(sv *ledger.SessionView, sess *protocol.Session, gv *
 		failf("stored round not admissible: %v", err)
 		return
 	}
+	if !gv.Legacy {
+		params.Gen = gv.Gen
+	}
 	rec, err := a.st.Get(gv.Settle)
 	if err != nil {
 		failf("settle record: %v", err)
 		return
 	}
-	if _, err := replaySettled(sess, params, gv.Round.Seq, rec.Payload); err != nil {
+	res, err := replaySettled(sess, params, gv.Round.Seq, rec.Payload)
+	if err != nil {
 		failf("%v", err)
+		return
+	}
+	switch {
+	case !gv.Journal.IsZero():
+		jr, err := a.st.Get(gv.Journal)
+		if err != nil {
+			failf("journal record: %v", err)
+			return
+		}
+		if replayed := wire.AppendJournal(nil, JournalToWire(res)); !bytes.Equal(replayed, jr.Payload) {
+			failf("replayed journal diverges from the journal on disk (%d vs %d bytes)", len(replayed), len(jr.Payload))
+			return
+		}
+	case !gv.Legacy:
+		failf("settle record has no journal artifact")
 		return
 	}
 	a.add(v)

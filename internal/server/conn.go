@@ -15,6 +15,7 @@ import (
 	"dlsmech/internal/dlt"
 	"dlsmech/internal/fault"
 	"dlsmech/internal/ledger"
+	"dlsmech/internal/payment"
 	"dlsmech/internal/protocol"
 	"dlsmech/internal/wire"
 )
@@ -257,7 +258,7 @@ func (s *Server) serveRound(cs *connState, hello wire.Hello, ps *pooledSession, 
 			s.met.ledgerRoundFailures.Inc()
 			return cs.writeError(s, rq.Seq, CodeLedgerFailed, err.Error())
 		}
-		params.Evidence = rl
+		params.Evidence, params.Gen = rl, rl.Gen()
 	}
 
 	cs.setInRound(true)
@@ -281,8 +282,10 @@ func (s *Server) serveRound(cs *connState, hello wire.Hello, ps *pooledSession, 
 
 	rr := ResultToWire(rq.Seq, res)
 	if rl != nil {
-		// fsync-before-ack: the settle record (and its fsync) precedes the
-		// response write below, so an acknowledged round survives a crash.
+		// fsync-before-ack: the journal and settle records (and their
+		// fsync) precede the response write below, so an acknowledged round
+		// survives a crash.
+		rl.RecordJournal(JournalToWire(res))
 		if err := rl.Close(rr); err != nil {
 			s.met.ledgerRoundFailures.Inc()
 			return cs.writeError(s, rq.Seq, CodeLedgerFailed, err.Error())
@@ -481,4 +484,18 @@ func ResultToWire(seq uint64, res *protocol.Result) wire.RoundResult {
 		})
 	}
 	return rr
+}
+
+// JournalToWire projects a protocol result's payment journal onto the
+// entries a settled round's journal artifact records: every transfer, in
+// order, with the fields a tenant's book applies.
+func JournalToWire(res *protocol.Result) []wire.JournalEntry {
+	if res.Ledger == nil {
+		return nil
+	}
+	out := make([]wire.JournalEntry, 0, res.Ledger.Len())
+	res.Ledger.ForEachEntry(func(e payment.Entry) {
+		out = append(out, wire.JournalEntry{From: e.From, To: e.To, Amount: e.Amount})
+	})
+	return out
 }

@@ -64,11 +64,10 @@ func (s phase2Sink) RecordBill(wire.Bill)               {}
 // TestLedgerCrashRecoveryResume is the crash→reload→resume acceptance
 // path: rounds 1..k-1 are served and settled, the arbiter "crashes" after
 // Phase II of round k (bids and allocs durable, nothing later), and a
-// restarted daemon must (a) replay rounds 1..k-1 bit-identically against
-// the settle records on disk, (b) resume round k — the re-run's artifacts
-// dedup into the partial evidence, no forks — and settle it exactly as an
-// uninterrupted run would have, and (c) keep serving from the recovered
-// warm session.
+// restarted daemon must (a) apply rounds 1..k-1 from their journals, (b)
+// resume round k — the re-run's artifacts dedup into the partial evidence,
+// no forks — and settle it exactly as an uninterrupted run would have, and
+// (c) keep serving from the recovered warm session.
 func TestLedgerCrashRecoveryResume(t *testing.T) {
 	dir := t.TempDir()
 	net := servertest.ChainNet(4, 42)
@@ -103,9 +102,9 @@ func TestLedgerCrashRecoveryResume(t *testing.T) {
 		t.Fatalf("close store: %v", err)
 	}
 
-	// Epoch 2: the crash. Reproduce the daemon's session state (rounds
-	// 1..k-1 replayed in order), open round k, and let only Phase I/II
-	// evidence reach the log before the "kill".
+	// Epoch 2: the crash. Open round k, run it as the daemon does (seeded
+	// by its generation), and let only Phase I/II evidence reach the log
+	// before the "kill".
 	st2 := openLedger(t, dir)
 	sl, err := st2.ResumeSession(1)
 	if err != nil {
@@ -115,22 +114,12 @@ func TestLedgerCrashRecoveryResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open round %d: %v", k, err)
 	}
-	sess := protocol.NewSession(hello.Size, hello.Seed)
-	for _, rq := range rqs[:k-1] {
-		params, err := server.RoundParams(hello.Size, rq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sess.Run(params); err != nil {
-			t.Fatalf("warmup round %d: %v", rq.Seq, err)
-		}
-	}
 	params, err := server.RoundParams(hello.Size, rqs[k-1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	params.Evidence = phase2Sink{rl}
-	resK, err := sess.Run(params)
+	params.Evidence, params.Gen = phase2Sink{rl}, rl.Gen()
+	resK, err := protocol.NewSession(hello.Size, hello.Seed).Run(params)
 	if err != nil {
 		t.Fatalf("round %d: %v", k, err)
 	}

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
 	"time"
 
 	"dlsmech/internal/ledger"
+	"dlsmech/internal/payment"
 	"dlsmech/internal/protocol"
 	"dlsmech/internal/wire"
 )
@@ -22,19 +24,26 @@ import (
 // worker, and for each generation the worker
 //
 //   - verifies its evidence (ledger.Generation.Verify: the close record's
-//     parents and every embedded signature), with the PKI of the protocol
-//     session that replays it, so the replay finds each signature in the
-//     memo;
-//   - re-runs a settled generation on the session's protocol.Session: the
-//     recomputed RoundResult must be byte-identical to the settle payload
-//     on disk (determinism makes it so, and any divergence refuses
-//     service), and the round is applied to the tenant's book;
+//     parents and every embedded signature), with the PKI of the
+//     session's protocol.Session;
+//   - applies a settled generation's journal artifact to the tenant's
+//     book, once replaying its transfers reproduces the settle payload's
+//     Outlay and NetZero. The round is not re-run: the settle and journal
+//     pair is trusted once it passes the hash, parent-commit and
+//     Outlay/NetZero checks, and re-execution is the offline audit's job
+//     (AuditLedger);
+//   - re-runs a legacy settled generation (ledger.GenView.Legacy: written
+//     before rounds were seeded by generation and journaled) on the
+//     session's Λ stream, in order: the recomputed RoundResult must be
+//     byte-identical to the settle payload on disk, and the re-run's
+//     journal goes to the book;
 //   - skips a voided generation, which has no outcome;
 //   - resumes an interrupted (open) generation, handed over only once the
-//     whole log has scanned with no issue or fork: the re-run's artifacts
-//     dedup into the ones already on disk and the round settles normally,
-//     or, if the run cannot complete, the generation is voided with its
-//     evidence intact.
+//     whole log has scanned with no issue or fork: the re-run, seeded by
+//     its generation (a legacy one on the stream), dedups its artifacts
+//     into the ones already on disk and the round settles normally, or, if
+//     the run cannot complete, the generation is voided with its evidence
+//     intact.
 //
 // The store forgets each generation as it hands it over, so a restart
 // holds the open generations, not the history. A session's generations go
@@ -98,9 +107,10 @@ func (s *Server) Recover() error {
 			sv.ID, sv.Hello.Tenant, sv.Hello.Size, sv.Opened)
 	}
 	live, _ := st.Live()
-	s.cfg.Logf("dlsd: recovery: %d records, %d sessions; live records peak %d, %d after; scan %v, finish %v; summed over %d workers: verify %v, replay %v, tail resume %v",
+	s.cfg.Logf("dlsd: recovery: %d records, %d sessions; live records peak %d, %d after; scan %v, finish %v; summed over %d workers: verify %v, journal %v (%d rounds), replay %v (%d legacy rounds), tail resume %v",
 		stats.Records, len(sessions), stats.PeakLive, live, scan.Round(time.Millisecond), finish.Round(time.Millisecond),
-		len(rc.workers), rc.verify.Round(time.Millisecond), rc.replay.Round(time.Millisecond), rc.resume.Round(time.Millisecond))
+		len(rc.workers), rc.verify.Round(time.Millisecond), rc.journal.Round(time.Millisecond), rc.journaled,
+		rc.replay.Round(time.Millisecond), rc.replayed, rc.resume.Round(time.Millisecond))
 	return nil
 }
 
@@ -110,17 +120,24 @@ type recovery struct {
 	tenants map[string]*recoveryWorker // the scan's goroutine only
 	wg      sync.WaitGroup
 	// Once the workers are done: every session they saw, and their busy
-	// times summed.
-	sessions               map[uint64]*recovered
-	verify, replay, resume time.Duration
+	// times and round counts summed.
+	sessions map[uint64]*recovered
+	recoveryWork
 }
 
-// recoveryWorker replays the generations of the tenants pinned to it, in
+// recoveryWork is a worker's busy time per step and the settled rounds it
+// took from journals and from legacy replays.
+type recoveryWork struct {
+	verify, journal, replay, resume time.Duration
+	journaled, replayed             int
+}
+
+// recoveryWorker applies the generations of the tenants pinned to it, in
 // the order it receives them.
 type recoveryWorker struct {
-	gens                   chan *ledger.Generation
-	sessions               map[uint64]*recovered
-	verify, replay, resume time.Duration // busy time
+	gens     chan *ledger.Generation
+	sessions map[uint64]*recovered
+	recoveryWork
 }
 
 // recovered is one session's recovery state.
@@ -131,7 +148,7 @@ type recovered struct {
 }
 
 // recoveryQueue is how many generations the workers hold, between them,
-// ahead of the ones they replay; a worker's queue is its share, at least
+// ahead of the ones they apply; a worker's queue is its share, at least
 // one. The scan waits for a worker whose queue is full.
 const recoveryQueue = 32
 
@@ -182,8 +199,11 @@ func (rc *recovery) wait() {
 			rc.sessions[id] = r
 		}
 		rc.verify += w.verify
+		rc.journal += w.journal
 		rc.replay += w.replay
 		rc.resume += w.resume
+		rc.journaled += w.journaled
+		rc.replayed += w.replayed
 	}
 }
 
@@ -196,7 +216,8 @@ func (s *Server) startRecovery(hello wire.Hello) *recovered {
 	return &recovered{ps: &pooledSession{sess: protocol.NewSession(hello.Size, hello.Seed)}}
 }
 
-// apply verifies one generation and replays, skips or resumes it.
+// apply verifies one generation and applies its journal, replays, skips or
+// resumes it.
 func (w *recoveryWorker) apply(s *Server, r *recovered, g *ledger.Generation) error {
 	t := time.Now()
 	issues := g.Verify(r.ps.sess.PKI())
@@ -210,24 +231,75 @@ func (w *recoveryWorker) apply(s *Server, r *recovered, g *ledger.Generation) er
 	}
 	t = time.Now()
 	switch {
+	case !g.Settle.IsZero() && !g.Legacy:
+		journal, err := settledJournal(g)
+		w.journal += time.Since(t)
+		if err != nil {
+			return fmt.Errorf("gen %d: %w", g.Gen, err)
+		}
+		s.tenants.settle(g.Hello.Tenant, journal)
+		w.journaled++
 	case !g.Settle.IsZero():
-		// Replay: the session's deterministic state (issuer streams, memos)
-		// must advance through every settled round in order.
+		// A legacy round: the session's Λ stream must advance through every
+		// settled one in order.
 		res, err := replaySettled(r.ps.sess, params, g.Round.Seq, g.Close.Payload)
 		w.replay += time.Since(t)
 		if err != nil {
 			return fmt.Errorf("gen %d: %w", g.Gen, err)
 		}
 		s.tenants.settle(g.Hello.Tenant, res.Ledger.Journal())
+		w.replayed++
 	case !g.Void.IsZero():
-		// Voided: no outcome to replay. The evidence stays sealed; the
+		// Voided: no outcome to apply. The evidence stays sealed; the
 		// round contributes nothing to session or tenant state.
 	default:
+		if !g.Legacy {
+			params.Gen = g.Gen
+		}
 		err := s.resumeGen(r, g, params)
 		w.resume += time.Since(t)
 		return err
 	}
 	return nil
+}
+
+// settledJournal decodes the journal artifact of settled generation g and
+// checks it against the settle payload: its transfers, replayed in order
+// into a fresh payment ledger, must reproduce the settle's Outlay bit for
+// bit and its NetZero verdict, through the functions ResultToWire reads.
+// It returns the journal as the tenant book applies it.
+func settledJournal(g *ledger.Generation) ([]payment.Entry, error) {
+	var payload []byte
+	for _, rec := range g.Records {
+		if rec.Kind == ledger.KindJournal {
+			payload = rec.Payload
+		}
+	}
+	if payload == nil {
+		return nil, fmt.Errorf("settle record has no journal artifact")
+	}
+	entries, n, err := wire.DecodeJournal(payload)
+	if err == nil && n != len(payload) {
+		err = fmt.Errorf("%d trailing bytes", len(payload)-n)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
+	}
+	rr, _, err := wire.DecodeRoundResult(g.Close.Payload)
+	if err != nil {
+		return nil, fmt.Errorf("settle payload: %w", err)
+	}
+	l := payment.NewLedgerSized(len(entries), len(entries))
+	for i, e := range entries {
+		if err := l.Transfer(e.From, e.To, e.Amount, payment.KindAdjustment, ""); err != nil {
+			return nil, fmt.Errorf("journal entry %d: %w", i, err)
+		}
+	}
+	if out := l.MechanismOutlay(); math.Float64bits(out) != math.Float64bits(rr.Outlay) || l.NetZero(netZeroTol) != rr.NetZero {
+		return nil, fmt.Errorf("journal does not reproduce the settle: outlay %v, net zero %v; the settle says %v, %v",
+			out, l.NetZero(netZeroTol), rr.Outlay, rr.NetZero)
+	}
+	return l.Journal(), nil
 }
 
 // resumeGen resumes a generation interrupted mid-round: the re-run's
@@ -255,6 +327,7 @@ func (s *Server) resumeGen(r *recovered, g *ledger.Generation, params protocol.P
 		r.logs = append(r.logs, fmt.Sprintf("dlsd: session %d gen %d voided during recovery: %v", g.Session, g.Gen, err))
 		return nil
 	}
+	rl.RecordJournal(JournalToWire(res))
 	if err := rl.Close(ResultToWire(g.Round.Seq, res)); err != nil {
 		return fmt.Errorf("gen %d: settle resumed round: %w", g.Gen, err)
 	}

@@ -64,35 +64,31 @@ func buildMultiTenantLedger(t *testing.T, dir string) {
 
 	st = openLedger(t, dir)
 	defer st.Close()
-	// Session 2: run gen servedRounds+1 with full evidence, no settle.
+	// Session 2: run gen servedRounds+1 with full evidence, no settle. The
+	// daemon seeds a round by its generation, so no earlier round is re-run.
 	hello := recoveryTenants[1]
 	sl, err := st.ResumeSession(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := protocol.NewSession(hello.Size, hello.Seed)
-	for seq := uint64(1); seq <= servedRounds+1; seq++ {
-		params, err := server.RoundParams(hello.Size, roundOf(hello, seq))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq > servedRounds {
-			rl, err := sl.OpenRound(roundOf(hello, seq))
-			if err != nil {
-				t.Fatal(err)
-			}
-			params.Evidence = rl
-		}
-		if _, err := sess.Run(params); err != nil {
-			t.Fatalf("session 2 round %d: %v", seq, err)
-		}
+	params, err := server.RoundParams(hello.Size, roundOf(hello, servedRounds+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rl, err := sl.OpenRound(roundOf(hello, servedRounds+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	params.Evidence, params.Gen = rl, rl.Gen()
+	if _, err := protocol.NewSession(hello.Size, hello.Seed).Run(params); err != nil {
+		t.Fatalf("session 2 round %d: %v", servedRounds+1, err)
 	}
 	// Session 4: open a generation and void it.
 	sl, err = st.ResumeSession(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := sl.OpenRound(roundOf(recoveryTenants[3], servedRounds+1))
+	rl, err = sl.OpenRound(roundOf(recoveryTenants[3], servedRounds+1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dlsmech/internal/ledger"
+	"dlsmech/internal/payment"
 	"dlsmech/internal/protocol"
 	"dlsmech/internal/server"
 	"dlsmech/internal/server/servertest"
@@ -24,11 +25,14 @@ func (s badSigSink) RecordBid(slot int, sg sign.Signed) {
 	s.RoundLog.RecordBid(slot, sg)
 }
 
+// closeFunc settles round 2 of damagedLedger: rr and journal are what the
+// daemon would journal and settle.
+type closeFunc func(st *ledger.Store, rl *ledger.RoundLog, rr wire.RoundResult, journal []wire.JournalEntry) error
+
 // damagedLedger writes two m=3 rounds of one session to a fresh ledger
 // through a whole store, as the daemon would, except for round 2: sink
-// wraps its round log and closeRound settles it.
-func damagedLedger(t *testing.T, sink func(*ledger.RoundLog) protocol.EvidenceSink,
-	closeRound func(st *ledger.Store, rl *ledger.RoundLog, rr wire.RoundResult) error) string {
+// wraps its round log and closeRound journals and settles it.
+func damagedLedger(t *testing.T, sink func(*ledger.RoundLog) protocol.EvidenceSink, closeRound closeFunc) string {
 	t.Helper()
 	dir := t.TempDir()
 	st := openLedger(t, dir)
@@ -50,7 +54,7 @@ func damagedLedger(t *testing.T, sink func(*ledger.RoundLog) protocol.EvidenceSi
 		if err != nil {
 			t.Fatal(err)
 		}
-		params.Evidence = rl
+		params.Evidence, params.Gen = rl, rl.Gen()
 		if seq == 2 && sink != nil {
 			params.Evidence = sink(rl)
 		}
@@ -58,10 +62,11 @@ func damagedLedger(t *testing.T, sink func(*ledger.RoundLog) protocol.EvidenceSi
 		if err != nil {
 			t.Fatal(err)
 		}
-		rr := server.ResultToWire(rq.Seq, res)
+		rr, journal := server.ResultToWire(rq.Seq, res), server.JournalToWire(res)
 		if seq == 2 && closeRound != nil {
-			err = closeRound(st, rl, rr)
+			err = closeRound(st, rl, rr, journal)
 		} else {
+			rl.RecordJournal(journal)
 			err = rl.Close(rr)
 		}
 		if err != nil {
@@ -72,24 +77,35 @@ func damagedLedger(t *testing.T, sink func(*ledger.RoundLog) protocol.EvidenceSi
 }
 
 // TestRecoveryRefusesDamagedEvidence: the one-pass restart keeps every
-// check. A settle payload that the replay does not reproduce, a bid whose
-// signature does not verify, and an artifact the close record does not
-// commit to each refuse recovery, while the undamaged ledger recovers.
+// check. A settle payload that its journal does not reproduce, a journal
+// that does not reproduce its settle, a bid whose signature does not
+// verify, and an artifact the close record does not commit to each refuse
+// recovery, while the undamaged ledger recovers.
 func TestRecoveryRefusesDamagedEvidence(t *testing.T) {
 	cases := []struct {
 		name       string
 		sink       func(*ledger.RoundLog) protocol.EvidenceSink
-		closeRound func(*ledger.Store, *ledger.RoundLog, wire.RoundResult) error
+		closeRound closeFunc
 		want       string // in the error; empty: recovery succeeds
 	}{
 		{name: "intact"},
 		{
 			name: "tampered-settle",
-			closeRound: func(_ *ledger.Store, rl *ledger.RoundLog, rr wire.RoundResult) error {
+			closeRound: func(_ *ledger.Store, rl *ledger.RoundLog, rr wire.RoundResult, journal []wire.JournalEntry) error {
 				rr.Outlay += 1
+				rl.RecordJournal(journal)
 				return rl.Close(rr)
 			},
-			want: "replay diverges",
+			want: "journal does not reproduce the settle",
+		},
+		{
+			name: "tampered-journal",
+			closeRound: func(_ *ledger.Store, rl *ledger.RoundLog, rr wire.RoundResult, journal []wire.JournalEntry) error {
+				journal[0].Amount *= 2 // a mechanism payment: the outlay moves
+				rl.RecordJournal(journal)
+				return rl.Close(rr)
+			},
+			want: "journal does not reproduce the settle",
 		},
 		{
 			name: "bad-signature",
@@ -98,7 +114,7 @@ func TestRecoveryRefusesDamagedEvidence(t *testing.T) {
 		},
 		{
 			name: "evidence-gap",
-			closeRound: func(st *ledger.Store, rl *ledger.RoundLog, rr wire.RoundResult) error {
+			closeRound: func(st *ledger.Store, rl *ledger.RoundLog, rr wire.RoundResult, journal []wire.JournalEntry) error {
 				gens := st.Session(1).Gens // the open generations: round 2's
 				gv := gens[len(gens)-1]
 				forged := sign.NewSigner(1, 13).Sign([]byte("uncommitted bid"))
@@ -109,6 +125,7 @@ func TestRecoveryRefusesDamagedEvidence(t *testing.T) {
 				}); err != nil {
 					return err
 				}
+				rl.RecordJournal(journal)
 				return rl.Close(rr)
 			},
 			want: "evidence-gap",
@@ -182,5 +199,62 @@ func TestRecoveryRefusesForkAfterClose(t *testing.T) {
 	}
 	if !flagged["ledger-fork"] || !flagged["ledger-structure"] {
 		t.Fatalf("audit violations %+v: want a ledger-fork and a ledger-structure verdict", rep.Violations())
+	}
+}
+
+// TestRecoveryTrustsConsistentRewrite is the trade recovery makes by
+// applying journals instead of re-running rounds. Round 2's journal and
+// settle are rewritten together before they are hashed, so that one of
+// P_1's payments goes to P_2 in both while the outlay and conservation
+// stay as they were: recovery accepts the pair, and only the offline audit,
+// which re-executes every round, flags it.
+func TestRecoveryTrustsConsistentRewrite(t *testing.T) {
+	moved := false
+	dir := damagedLedger(t, nil, func(_ *ledger.Store, rl *ledger.RoundLog, rr wire.RoundResult, journal []wire.JournalEntry) error {
+		for i, e := range journal {
+			if e.From == payment.Mechanism && e.To == 1 && e.Amount > 0 {
+				journal[i].To = 2
+				rr.Utilities[1] -= e.Amount
+				rr.Utilities[2] += e.Amount
+				moved = true
+				break
+			}
+		}
+		rl.RecordJournal(journal)
+		return rl.Close(rr)
+	})
+	if !moved {
+		t.Fatal("round 2 pays P_1 nothing to move")
+	}
+	st := deferLedger(t, dir)
+	s, err := server.Listen(server.Config{Ledger: st, Logf: t.Logf})
+	if err != nil {
+		st.Close()
+		t.Fatalf("recovery refused a consistent rewrite: %v", err)
+	}
+	if !s.TenantLedgerNetZero("damaged", 1e-6) {
+		t.Error("the tenant book does not conserve after the rewritten journal")
+	}
+	shutdownServer(t, s)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	audit := openLedger(t, dir)
+	defer audit.Close()
+	rep, err := server.AuditLedger(audit, server.AuditOptions{Strict: true, MaxTheoremCells: 1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var diverged []string
+	for _, v := range rep.Violations() {
+		if v.Violated == "replay-divergence" {
+			diverged = append(diverged, v.Detail)
+		} else {
+			t.Errorf("unexpected violation: %s", v)
+		}
+	}
+	if len(diverged) != 1 || !strings.Contains(diverged[0], "gen 2") {
+		t.Fatalf("want one replay-divergence, on gen 2; got %q", diverged)
 	}
 }

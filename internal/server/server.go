@@ -168,7 +168,8 @@ func New(cfg Config) *Server {
 
 // Listen binds the configured address and starts the accept loop. With a
 // ledger configured, crash recovery runs first: every session in the log
-// is replayed and re-verified, interrupted rounds are resumed or voided,
+// is re-verified and its settled rounds applied to the tenant books,
+// interrupted rounds are resumed or voided,
 // and the warm sessions land in the pool — a recovery failure refuses to
 // serve rather than continuing on top of damaged evidence.
 func Listen(cfg Config) (*Server, error) {

@@ -75,7 +75,7 @@ func (c *streamConsumer) run(loads <-chan streamLoad) {
 	// flush makes the pending settles durable with one barrier, then
 	// acknowledges them in order. On a barrier or write failure the whole
 	// pending batch goes unacknowledged (their settles are in the log;
-	// crash recovery replays them deterministically).
+	// crash recovery applies their journals).
 	flush := func() {
 		if len(ready) == 0 {
 			return
@@ -114,6 +114,7 @@ func (c *streamConsumer) run(loads <-chan streamLoad) {
 		}
 		rr := ResultToWire(ld.seq, res)
 		if ld.rl != nil {
+			ld.rl.RecordJournal(JournalToWire(res))
 			if err := ld.rl.CloseDeferred(rr); err != nil {
 				c.s.met.ledgerRoundFailures.Inc()
 				c.fail(ld.seq, CodeLedgerFailed, err.Error())
@@ -225,7 +226,7 @@ func (s *Server) serveStream(cs *connState, hello wire.Hello, ps *pooledSession,
 				endCode, endMsg, failSeq = StreamRunFailed, err.Error(), rq.Seq
 				break
 			}
-			params.Evidence = rl
+			params.Evidence, params.Gen = rl, rl.Gen()
 		}
 		ticket, err := pipe.Submit(params)
 		if err != nil {

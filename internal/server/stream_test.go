@@ -228,24 +228,16 @@ func TestStreamLedgerCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Epoch 2: the crash. Rebuild the session state (3 settled loads), then
-	// leave gen 4 open with FULL artifacts (exchanged, never settled) and
-	// gen 5 open with only Phase I/II evidence (mid-exchange).
+	// Epoch 2: the crash. Leave gen 4 open with FULL artifacts (exchanged,
+	// never settled) and gen 5 open with only Phase I/II evidence
+	// (mid-exchange). Each load is seeded by its generation, as the daemon
+	// runs it, so the settled loads need not run first.
 	st2 := openLedger(t, dir)
 	sl, err := st2.ResumeSession(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sess := protocol.NewSession(hello.Size, hello.Seed)
-	for _, rq := range rqs[:settled] {
-		params, err := server.RoundParams(hello.Size, rq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sess.Run(params); err != nil {
-			t.Fatalf("warmup load %d: %v", rq.Seq, err)
-		}
-	}
 	wantOpen := make([][]byte, opens)
 	for i, full := range []bool{true, false} {
 		rq := rqs[settled+i]
@@ -257,6 +249,7 @@ func TestStreamLedgerCrashRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		params.Gen = rl.Gen()
 		if full {
 			params.Evidence = rl
 		} else {

@@ -58,7 +58,7 @@ func Peek(data []byte) (MsgType, error) {
 	case TypeBid, TypeAlloc, TypeLoad, TypeBill, TypeGrievance,
 		TypeHello, TypeHelloAck, TypeRound, TypeRoundResult, TypeSrvError,
 		TypeStream, TypeStreamEnd,
-		TypeLedgerRecord, TypeDetection:
+		TypeLedgerRecord, TypeDetection, TypeJournal:
 		return t, nil
 	default:
 		return 0, fmt.Errorf("%w: 0x%02x", ErrBadType, data[4])
@@ -307,6 +307,16 @@ func AppendGrievance(dst []byte, gr Grievance) []byte {
 // openFrame validates the header against want and returns the body reader
 // plus the total frame size.
 func openFrame(data []byte, want MsgType) (*reader, int, error) {
+	body, n, err := frameBody(data, want)
+	if err != nil {
+		return nil, 0, err
+	}
+	return &reader{buf: body}, n, nil
+}
+
+// frameBody validates the header against want and returns the body plus
+// the total frame size.
+func frameBody(data []byte, want MsgType) ([]byte, int, error) {
 	t, err := Peek(data)
 	if err != nil {
 		return nil, 0, err
@@ -318,7 +328,7 @@ func openFrame(data []byte, want MsgType) (*reader, int, error) {
 	if bodyLen < 0 || headerSize+bodyLen > len(data) {
 		return nil, 0, ErrTruncated
 	}
-	return &reader{buf: data[headerSize : headerSize+bodyLen]}, headerSize + bodyLen, nil
+	return data[headerSize : headerSize+bodyLen], headerSize + bodyLen, nil
 }
 
 // finish enforces that the body was consumed exactly — a frame with trailing

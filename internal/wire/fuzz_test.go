@@ -36,6 +36,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		AppendLedgerRecord(nil, sampleLedgerRecord()),
 		AppendLedgerRecord(nil, LedgerRecord{Kind: 1}),
 		AppendDetection(nil, sampleDetection()),
+		AppendJournal(nil, sampleJournal()),
 		[]byte("DLS"),
 		{'D', 'L', 'S', Version, byte(TypeBid), 0xff, 0xff, 0xff, 0xff},
 	}
@@ -116,6 +117,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 			var m DetectionRec
 			m, n, decErr = DecodeDetection(data)
 			msg, reframe = m, func() []byte { return AppendDetection(nil, m) }
+		case TypeJournal:
+			var m []JournalEntry
+			m, n, decErr = DecodeJournal(data)
+			msg, reframe = m, func() []byte { return AppendJournal(nil, m) }
 		}
 		if decErr != nil {
 			return

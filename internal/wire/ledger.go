@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Ledger frame types: the envelope internal/ledger persists its DAG nodes
@@ -116,6 +117,60 @@ func DecodeDetection(data []byte) (DetectionRec, int, error) {
 	return d, n, nil
 }
 
+// JournalEntry is one transfer of a settled round's payment journal: the
+// fields a cumulative balance book applies. Amount is non-negative; the
+// direction is From → To, and payment.Mechanism (-1) is the mechanism's
+// own account.
+type JournalEntry struct {
+	From, To int
+	Amount   float64
+}
+
+// journalEntrySize is the encoding of one entry: two int32 accounts and
+// the IEEE-754 bits of the amount.
+const journalEntrySize = 4 + 4 + 8
+
+// AppendJournal appends the framed journal to dst: the entry count, then
+// each entry in journal order. Accounts must fit an int32.
+func AppendJournal(dst []byte, entries []JournalEntry) []byte {
+	dst = slices.Grow(dst, headerSize+4+journalEntrySize*len(entries))
+	dst, lenAt := appendHeader(dst, TypeJournal)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(entries)))
+	for _, e := range entries {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(e.From)))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(e.To)))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.Amount))
+	}
+	return patchLength(dst, lenAt)
+}
+
+// DecodeJournal parses one framed journal from the front of data.
+func DecodeJournal(data []byte) ([]JournalEntry, int, error) {
+	r, n, err := openFrame(data, TypeJournal)
+	if err != nil {
+		return nil, 0, err
+	}
+	count := int(r.u32())
+	if r.err == nil && count*journalEntrySize > len(r.buf)-r.off {
+		r.fail()
+	}
+	var entries []JournalEntry
+	if r.err == nil && count > 0 {
+		entries = make([]JournalEntry, count)
+		for i := range entries {
+			entries[i] = JournalEntry{
+				From:   int(int32(r.u32())),
+				To:     int(int32(r.u32())),
+				Amount: r.f64(),
+			}
+		}
+	}
+	if err := r.finish(); err != nil {
+		return nil, 0, err
+	}
+	return entries, n, nil
+}
+
 // LedgerKindName names an internal/ledger.Kind byte for diagnostics without
 // importing the ledger package; the two lists are kept in lockstep by the
 // ledger's tests.
@@ -141,6 +196,8 @@ func LedgerKindName(k uint8) string {
 		return "settle"
 	case 10:
 		return "void"
+	case 11:
+		return "journal"
 	default:
 		return fmt.Sprintf("kind-0x%02x", k)
 	}

@@ -1,0 +1,165 @@
+package wire
+
+import (
+	"fmt"
+
+	"dlsmech/internal/sign"
+)
+
+// VisitSigned checks, without copying, that data is exactly one framed
+// message of type t — a bid, alloc, load, grievance, bill, detection or
+// journal — in the shape its decoder accepts (every field present, bools
+// canonical, counts within the frame, no trailing bytes), and calls fn with
+// each signature the message embeds, in encoding order; a bill's successor
+// bid only when the proof says it has one. Detections and journals embed
+// none. The Payload and Sig of each Signed alias data and
+// must not be modified or kept. A verifier that holds the bytes anyway
+// (the evidence ledger) checks every signature this way without building
+// the message, its attestations or copies of its signed payloads.
+//
+// fn's name is the field: "signed" for each of a bid's, the alloc field
+// names, and "meter", "proof G: <field>", "proof succ bid", "proof own
+// bid" and "proof meter".
+func VisitSigned(data []byte, t MsgType, fn func(name string, s sign.Signed) error) error {
+	body, n, err := frameBody(data, t)
+	if err != nil {
+		return err
+	}
+	if n != len(data) {
+		return fmt.Errorf("%d trailing payload bytes", len(data)-n)
+	}
+	r := reader{buf: body}
+	visit := func(name string) error {
+		s := r.signedView()
+		if r.err != nil {
+			return r.err
+		}
+		return fn(name, s)
+	}
+	visitAlloc := func(names *[5]string) error {
+		r.u64() // To
+		for _, name := range names {
+			if err := visit(name); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	switch t {
+	case TypeBid:
+		r.u64() // From
+		count := int(r.u32())
+		if r.err == nil && count*minSignedSize > len(r.buf)-r.off {
+			r.fail()
+		}
+		for i := 0; i < count && r.err == nil; i++ {
+			if err := visit("signed"); err != nil {
+				return err
+			}
+		}
+	case TypeAlloc:
+		if err := visitAlloc(&allocNames); err != nil {
+			return err
+		}
+	case TypeLoad:
+		r.u64() // Amount
+		r.bool()
+		r.skipAtt()
+	case TypeGrievance:
+		r.u64() // Reporter
+		if err := visitAlloc(&allocNames); err != nil {
+			return err
+		}
+		r.skipAtt()
+		r.skip(8 + 8 + 8) // meter Proc, WTilde, Load
+		if err := visit("meter"); err != nil {
+			return err
+		}
+	case TypeBill:
+		r.skip(5 * 8) // From and the four amounts
+		hasSucc := r.bool()
+		if err := visitAlloc(&proofAllocNames); err != nil {
+			return err
+		}
+		if hasSucc {
+			if err := visit("proof succ bid"); err != nil {
+				return err
+			}
+		} else {
+			r.signedView()
+		}
+		if err := visit("proof own bid"); err != nil {
+			return err
+		}
+		r.skip(8 + 8 + 8)
+		if err := visit("proof meter"); err != nil {
+			return err
+		}
+		r.skipAtt()
+	case TypeDetection:
+		r.bytesView() // Violation
+		r.skip(8 + 8 + 8 + 8)
+	case TypeJournal:
+		count := int(r.u32())
+		if r.err == nil && count*journalEntrySize > len(r.buf)-r.off {
+			r.fail()
+		}
+		r.skip(count * journalEntrySize)
+	default:
+		return fmt.Errorf("%w: %s is not an evidence frame", ErrBadType, t)
+	}
+	return r.finish()
+}
+
+// The signature fields of an alloc body, in encoding order, as VisitSigned
+// names them on their own and inside a bill's proof.
+var (
+	allocNames      = [5]string{"PrevLoad", "Load", "PrevEquiv", "PrevBid", "EchoEquiv"}
+	proofAllocNames = [5]string{"proof G: PrevLoad", "proof G: Load", "proof G: PrevEquiv", "proof G: PrevBid", "proof G: EchoEquiv"}
+)
+
+// skip advances past n bytes.
+func (r *reader) skip(n int) {
+	if r.err != nil || r.off+n > len(r.buf) {
+		r.fail()
+		return
+	}
+	r.off += n
+}
+
+// bytesView is bytes aliasing the frame: capacity-capped, so an append to
+// it cannot write into the bytes that follow.
+func (r *reader) bytesView() []byte {
+	n := int(r.u32())
+	if r.err != nil {
+		return nil
+	}
+	if n < 0 || r.off+n > len(r.buf) {
+		r.fail()
+		return nil
+	}
+	if n == 0 {
+		return nil
+	}
+	b := r.buf[r.off : r.off+n : r.off+n]
+	r.off += n
+	return b
+}
+
+// signedView is signed aliasing the frame.
+func (r *reader) signedView() sign.Signed {
+	return sign.Signed{SignerID: r.i64(), Payload: r.bytesView(), Sig: r.bytesView()}
+}
+
+// skipAtt advances past an attestation, checking its count as att does.
+func (r *reader) skipAtt() {
+	n := int(r.u32())
+	if r.err != nil {
+		return
+	}
+	if n < 0 || r.off+8*n > len(r.buf) {
+		r.fail()
+		return
+	}
+	r.off += 8 * n
+}

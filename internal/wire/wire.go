@@ -48,6 +48,7 @@ const (
 
 	TypeLedgerRecord MsgType = 0x20 // evidence-ledger DAG node envelope
 	TypeDetection    MsgType = 0x21 // one arbitration outcome as a fine artifact
+	TypeJournal      MsgType = 0x22 // a settled round's transfers as a journal artifact
 )
 
 // String names the type for diagnostics.
@@ -81,6 +82,8 @@ func (t MsgType) String() string {
 		return "ledger-record"
 	case TypeDetection:
 		return "detection"
+	case TypeJournal:
+		return "journal"
 	default:
 		return "unknown"
 	}

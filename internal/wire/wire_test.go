@@ -121,6 +121,8 @@ func encodeAny(t *testing.T, msg interface{}) []byte {
 		return AppendLedgerRecord(nil, m)
 	case DetectionRec:
 		return AppendDetection(nil, m)
+	case []JournalEntry:
+		return AppendJournal(nil, m)
 	}
 	t.Fatalf("unsupported %T", msg)
 	return nil
@@ -162,6 +164,8 @@ func decodeAny(t *testing.T, data []byte) (interface{}, int, error) {
 		return firstErr(DecodeLedgerRecord(data))
 	case TypeDetection:
 		return firstErr(DecodeDetection(data))
+	case TypeJournal:
+		return firstErr(DecodeJournal(data))
 	}
 	t.Fatalf("unsupported type %v", typ)
 	return nil, 0, nil
@@ -197,7 +201,13 @@ func allSamples() []interface{} {
 		LedgerRecord{Kind: 9}, // no parents, no payload
 		sampleDetection(),
 		DetectionRec{},
+		sampleJournal(),
+		[]JournalEntry(nil), // a round that moved no money
 	}
+}
+
+func sampleJournal() []JournalEntry {
+	return []JournalEntry{{From: -1, To: 2, Amount: 1.5}, {From: 3, To: -1, Amount: 0.25}, {From: -1, To: 1, Amount: 0}}
 }
 
 func TestRoundTripExact(t *testing.T) {
