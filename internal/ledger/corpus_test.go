@@ -34,9 +34,10 @@ var kindNames = map[Kind]string{
 }
 
 // buildCorpusLedger records a deterministic session that persists every
-// record kind: a settled round carrying bids, allocations, load acks, a
-// grievance, a bill, a detection fine and a journal, then a second round
-// that is voided.
+// record kind: a settled round carrying bids, allocations, load acks (the
+// first literal, the next stored as the tail of its sender's), a
+// grievance, bills (a stored one and the root's, literal), a detection
+// fine and a journal, then a second round that is voided.
 func buildCorpusLedger(t *testing.T) (*Store, *MemBackend) {
 	t.Helper()
 	be := NewMemBackend()
@@ -72,6 +73,7 @@ func buildCorpusLedger(t *testing.T) (*Store, *MemBackend) {
 		Att:   att,
 		Meter: reading,
 	})
+	rl.RecordBill(wire.Bill{From: 0, Compensation: 0.75, Proof: wire.Proof{Att: att}})
 	rl.RecordJournal([]wire.JournalEntry{{From: -1, To: 1, Amount: 2.5}, {From: 2, To: -1, Amount: 50}, {From: -1, To: 1, Amount: 25}})
 	settleRound(t, rl, 1)
 	recordRound(t, sl, 2, 4).Void("round_failed", "corpus: voided tail round")
@@ -84,7 +86,9 @@ func buildCorpusLedger(t *testing.T) (*Store, *MemBackend) {
 // corpusEntries renders the seed set: the full envelope frame of the
 // first record of each kind, plus that record's payload — itself a wire
 // frame for every artifact kind — so the fuzzer starts from genuinely
-// persisted bytes for both the envelope codec and each nested codec.
+// persisted bytes for both the envelope codec and each nested codec. A
+// bill or load ack stored with references is a kind of its own here
+// ("bill-stored", "loadack-stored"), so both layouts are seeded.
 func corpusEntries(t *testing.T, st *Store, be *MemBackend) map[string][]byte {
 	t.Helper()
 	entries := make(map[string][]byte)
@@ -96,6 +100,9 @@ func corpusEntries(t *testing.T, st *Store, be *MemBackend) map[string][]byte {
 		name, ok := kindNames[rec.Kind]
 		if !ok {
 			return fmt.Errorf("record kind %d has no corpus name", rec.Kind)
+		}
+		if t, err := wire.Peek(rec.Payload); err == nil && (t == wire.TypeStoredBill || t == wire.TypeStoredLoad) {
+			name += "-stored"
 		}
 		if _, ok := entries["ledger-"+name]; ok {
 			return nil
@@ -111,8 +118,8 @@ func corpusEntries(t *testing.T, st *Store, be *MemBackend) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 2*len(kindNames)-1 {
-		t.Fatalf("corpus covers %d entries, want %d (one per kind plus payloads)", len(entries), 2*len(kindNames)-1)
+	if want := 2*(len(kindNames)+2) - 1; len(entries) != want {
+		t.Fatalf("corpus covers %d entries, want %d (one per kind and stored layout, plus payloads)", len(entries), want)
 	}
 	return entries
 }

@@ -51,3 +51,12 @@ func DeferBackend(be Backend, met *Metrics) *Store {
 
 // RaceEnabled exposes raceEnabled to the external test package.
 const RaceEnabled = raceEnabled
+
+// PutArtifact appends an artifact of the round as the recorder would, with
+// the given parents and payload, so that the close commits to it: a test
+// forges a stored record with it.
+func (rl *RoundLog) PutArtifact(kind Kind, slot int, parents []Hash, payload []byte) (Hash, bool) {
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	return rl.put(kind, slot, parents, payload)
+}

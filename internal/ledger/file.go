@@ -34,10 +34,12 @@ import (
 // the log is reopened, because a retried fsync can report success for pages
 // the kernel already dropped.
 //
-// Format versions: segments are written as DLSLEDG2. A DLSLEDG1 segment,
-// written before rounds were seeded by generation and journaled, opens the
-// same way, and Legacy reports its records; nothing is appended to one: the
-// first Put rolls to a new segment.
+// Format versions: segments are written as DLSLEDG3 (FormatNormalized).
+// A DLSLEDG1 segment, written before rounds were seeded by generation and
+// journaled, and a DLSLEDG2 one, written before bills and load acks were
+// normalized, open the same way, and Format reports each record's;
+// nothing is appended to either: the first Put rolls to a new segment. A
+// literal payload is valid in every format, so one reader serves all three.
 //
 // Crash tolerance at open: a torn record at the tail of the LAST segment —
 // the footprint of a crash mid-append — is truncated away and appending
@@ -62,7 +64,7 @@ type FileBackend struct {
 type segment struct {
 	f      *os.File
 	size   int64
-	legacy bool // a DLSLEDG1 segment
+	format int // FormatLegacy, FormatJournaled or FormatNormalized
 }
 
 type recLoc struct {
@@ -74,12 +76,20 @@ type recLoc struct {
 // DefaultSegmentSize is the roll threshold for new FileBackends.
 const DefaultSegmentSize = 64 << 20
 
-// segMagic opens every segment file written; segMagicV1 opens the legacy
-// ones. They differ in the last byte only.
-var (
-	segMagic   = []byte("DLSLEDG2")
-	segMagicV1 = []byte("DLSLEDG1")
-)
+// segMagic opens every segment file written; an older format's magic
+// differs in the last byte only, the format's number.
+var segMagic = []byte("DLSLEDG3")
+
+// segFormat returns the format a segment magic names, or 0.
+func segFormat(hdr []byte) int {
+	if len(hdr) != len(segMagic) || !bytes.Equal(hdr[:len(hdr)-1], segMagic[:len(segMagic)-1]) {
+		return 0
+	}
+	if f := int(hdr[len(hdr)-1] - '0'); f >= FormatLegacy && f <= FormatNormalized {
+		return f
+	}
+	return 0
+}
 
 // ErrCorrupt reports an unreadable record that cannot be a torn tail.
 var ErrCorrupt = errors.New("ledger: corrupt segment record")
@@ -150,7 +160,7 @@ type segRec struct {
 type loadChunk struct {
 	data   []byte
 	recs   []segRec
-	legacy bool // the segment is DLSLEDG1
+	format int // the segment's
 }
 
 // segLoad is one segment's pass at open: its chunks, then, once chunks is
@@ -158,7 +168,7 @@ type loadChunk struct {
 type segLoad struct {
 	chunks chan *loadChunk
 	size   int64
-	legacy bool
+	format int
 	err    error
 }
 
@@ -201,7 +211,7 @@ func (b *FileBackend) loadAll(names []string, visit func(h Hash, frame []byte) e
 		go func() {
 			defer wg.Done()
 			defer close(sl.chunks)
-			sl.size, sl.legacy, sl.err = loadSegment(b.dir, i, b.segs[i].f, i == last, sl.chunks, free, stop)
+			sl.size, sl.format, sl.err = loadSegment(b.dir, i, b.segs[i].f, i == last, sl.chunks, free, stop)
 		}()
 	}
 	defer func() {
@@ -219,7 +229,7 @@ func (b *FileBackend) loadAll(names []string, visit func(h Hash, frame []byte) e
 		}
 		sl := loads[i]
 		for c := range sl.chunks {
-			b.segs[i].legacy = c.legacy
+			b.segs[i].format = c.format
 			pos := 0
 			for _, r := range c.recs {
 				frame := c.data[pos : pos+r.loc.n]
@@ -242,19 +252,19 @@ func (b *FileBackend) loadAll(names []string, visit func(h Hash, frame []byte) e
 		if sl.err != nil {
 			return fmt.Errorf("%s: %w", names[i], sl.err)
 		}
-		b.segs[i].size, b.segs[i].legacy = sl.size, sl.legacy
+		b.segs[i].size, b.segs[i].format = sl.size, sl.format
 	}
 	return nil
 }
 
 // loadSegment reads one segment front to back, digest-checks every record
 // and hands the intact ones to out in chunks, taken from free when one is
-// there. It returns the segment's valid length and whether it is a
-// DLSLEDG1 segment; a torn tail is truncated away iff last.
-func loadSegment(dir string, seg int, f *os.File, last bool, out chan<- *loadChunk, free <-chan *loadChunk, stop <-chan struct{}) (int64, bool, error) {
+// there. It returns the segment's valid length and format; a torn tail is
+// truncated away iff last.
+func loadSegment(dir string, seg int, f *os.File, last bool, out chan<- *loadChunk, free <-chan *loadChunk, stop <-chan struct{}) (int64, int, error) {
 	info, err := f.Stat()
 	if err != nil {
-		return 0, false, err
+		return 0, 0, err
 	}
 	size := info.Size()
 	hdr := make([]byte, len(segMagic))
@@ -263,15 +273,15 @@ func loadSegment(dir string, seg int, f *os.File, last bool, out chan<- *loadChu
 		// A roll interrupted between creating the file and writing (or
 		// fsyncing) its magic: a torn tail holding no records. Finish the
 		// roll the crash cut short.
-		return int64(len(segMagic)), false, writeSegmentHeader(f, dir)
+		return int64(len(segMagic)), FormatNormalized, writeSegmentHeader(f, dir)
 	}
-	legacy := bytes.Equal(hdr, segMagicV1)
-	if err != nil || !legacy && !bytes.Equal(hdr, segMagic) {
-		return 0, false, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
+	format := segFormat(hdr)
+	if err != nil || format == 0 {
+		return 0, 0, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
 	}
 	c := newChunk(free)
 	send := func() error {
-		c.legacy = legacy
+		c.format = format
 		select {
 		case out <- c:
 		case <-stop:
@@ -307,7 +317,7 @@ func loadSegment(dir string, seg int, f *os.File, last bool, out chan<- *loadChu
 	if err == nil && len(c.recs) > 0 {
 		err = send()
 	}
-	return size, legacy, err
+	return size, format, err
 }
 
 // newChunk returns an empty chunk, reusing one from free if there is one.
@@ -397,7 +407,7 @@ func (b *FileBackend) rollLocked() error {
 		b.syncErr = err
 		return errors.Join(err, f.Close(), os.Remove(name))
 	}
-	b.segs = append(b.segs, segment{f: f, size: int64(len(segMagic))})
+	b.segs = append(b.segs, segment{f: f, size: int64(len(segMagic)), format: FormatNormalized})
 	return nil
 }
 
@@ -430,7 +440,7 @@ func (b *FileBackend) Put(h Hash, frame []byte) error {
 	if _, ok := b.index[h]; ok {
 		return nil
 	}
-	if last := b.segs[len(b.segs)-1]; last.legacy || last.size >= b.segSize {
+	if last := b.segs[len(b.segs)-1]; last.format < FormatNormalized || last.size >= b.segSize {
 		if err := b.rollLocked(); err != nil {
 			return err
 		}
@@ -608,12 +618,15 @@ func (b *FileBackend) closeAll() error {
 	return first
 }
 
-// Legacy reports whether h's record sits in a DLSLEDG1 segment.
-func (b *FileBackend) Legacy(h Hash) bool {
+// Format reports the format of the segment h's record sits in, or
+// FormatNormalized for a record it does not hold.
+func (b *FileBackend) Format(h Hash) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	loc, ok := b.index[h]
-	return ok && b.segs[loc.seg].legacy
+	if loc, ok := b.index[h]; ok {
+		return b.segs[loc.seg].format
+	}
+	return FormatNormalized
 }
 
 // Forget drops hs from the index; their records stay in the log.

@@ -38,73 +38,76 @@ func setMagic(t *testing.T, dir, magic string) map[string][]byte {
 }
 
 // TestLegacySegmentFormat: a log whose segments are DLSLEDG1 (the format
-// written before rounds were seeded by generation and journaled) opens,
-// and every generation whose round-open sits in one is Legacy. Nothing is
-// appended to such a segment: the first append rolls to a DLSLEDG2 one,
-// and a generation opened there is not Legacy. An unknown magic is
-// refused.
+// written before rounds were seeded by generation and journaled) or
+// DLSLEDG2 (before bills and load acks were normalized) opens, and every
+// generation whose round-open sits in one is Literal, and Legacy in a
+// DLSLEDG1 one. Nothing is appended to such a segment: the first append
+// rolls to a DLSLEDG3 one, and a generation opened there is neither. An
+// unknown magic is refused.
 func TestLegacySegmentFormat(t *testing.T) {
-	dir := t.TempDir()
-	_, id := serveBounded(t, dir, 3)
-	legacy := setMagic(t, dir, "DLSLEDG1")
+	for _, magic := range []string{"DLSLEDG1", "DLSLEDG2"} {
+		dir := t.TempDir()
+		_, id := serveBounded(t, dir, 3)
+		old := setMagic(t, dir, magic)
 
-	st, err := ledger.OpenDir(dir, boundedSegSize, nil)
-	if err != nil {
-		t.Fatalf("open a DLSLEDG1 log: %v", err)
-	}
-	for _, gv := range st.Session(id).Gens {
-		if !gv.Legacy {
-			t.Fatalf("gen %d in a DLSLEDG1 segment is not Legacy", gv.Gen)
+		st, err := ledger.OpenDir(dir, boundedSegSize, nil)
+		if err != nil {
+			t.Fatalf("open a %s log: %v", magic, err)
 		}
-	}
-	sl, err := st.OpenSession(wire.Hello{Tenant: "after", Size: 5, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rl, err := sl.OpenRound(servertest.RoundFor(servertest.ChainNet(4, 17), 1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rl.Void(server.CodeRunFailed, "after the upgrade"); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for name, data := range legacy {
-		got, err := os.ReadFile(name)
+		for _, gv := range st.Session(id).Gens {
+			if gv.Legacy != (magic == "DLSLEDG1") || !gv.Literal {
+				t.Fatalf("gen %d in a %s segment: legacy %v, literal %v", gv.Gen, magic, gv.Legacy, gv.Literal)
+			}
+		}
+		sl, err := st.OpenSession(wire.Hello{Tenant: "after", Size: 5, Seed: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("%s: a DLSLEDG1 segment was appended to", name)
+		rl, err := sl.OpenRound(servertest.RoundFor(servertest.ChainNet(4, 17), 1, 1))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	names, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
-	if len(names) != len(legacy)+1 {
-		t.Fatalf("%d segments after the append, want %d", len(names), len(legacy)+1)
-	}
-	if data, _ := os.ReadFile(names[len(names)-1]); !bytes.HasPrefix(data, []byte("DLSLEDG2")) {
-		t.Fatalf("the new segment starts %q, want DLSLEDG2", data[:min(8, len(data))])
-	}
+		if err := rl.Void(server.CodeRunFailed, "after the upgrade"); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range old {
+			got, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatalf("%s: a %s segment was appended to", name, magic)
+			}
+		}
+		names, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
+		if len(names) != len(old)+1 {
+			t.Fatalf("%d segments after the append, want %d", len(names), len(old)+1)
+		}
+		if data, _ := os.ReadFile(names[len(names)-1]); !bytes.HasPrefix(data, []byte("DLSLEDG3")) {
+			t.Fatalf("the new segment starts %q, want DLSLEDG3", data[:min(8, len(data))])
+		}
 
-	st, err = ledger.OpenDir(dir, boundedSegSize, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gv := st.Session(id).Gens[0]; !gv.Legacy {
-		t.Fatal("a legacy generation lost its format on reopen")
-	}
-	if gv := st.Session(sl.ID()).Gens[0]; gv.Legacy {
-		t.Fatal("a generation opened in a DLSLEDG2 segment is Legacy")
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
+		st, err = ledger.OpenDir(dir, boundedSegSize, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gv := st.Session(id).Gens[0]; gv.Legacy != (magic == "DLSLEDG1") || !gv.Literal {
+			t.Fatalf("a %s generation lost its format on reopen", magic)
+		}
+		if gv := st.Session(sl.ID()).Gens[0]; gv.Legacy || gv.Literal {
+			t.Fatal("a generation opened in a DLSLEDG3 segment is Legacy or Literal")
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	setMagic(t, dir, "DLSLEDG3")
-	if _, err := ledger.OpenDir(dir, boundedSegSize, nil); !errors.Is(err, ledger.ErrCorrupt) {
-		t.Fatalf("open with an unknown segment magic: %v, want ErrCorrupt", err)
+		setMagic(t, dir, "DLSLEDG4")
+		if _, err := ledger.OpenDir(dir, boundedSegSize, nil); !errors.Is(err, ledger.ErrCorrupt) {
+			t.Fatalf("open with an unknown segment magic: %v, want ErrCorrupt", err)
+		}
 	}
 }
 

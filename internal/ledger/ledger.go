@@ -11,6 +11,15 @@
 //	               │
 //	            settle  (parents: round-open + every artifact, sorted)
 //
+// A bill or load ack that repeats bytes an earlier artifact of its
+// generation holds stores a reference instead (wire.StoredBill,
+// wire.StoredLoad), and the referent is an extra parent after the
+// round-open:
+//
+//	load-ack(i+1) ──► load-ack(i)      Λ_{i+1}: the tail of Λ_i
+//	bill(j) ──► alloc(j), bid(j+1), alloc(j+1), load-ack(j)
+//	            G_j       succ bid  own bid     Λ_j
+//
 // The settle record's parent set is a commitment to the round's complete
 // evidence: removing an artifact from the log breaks a parent link, and a
 // forged artifact changes its content address, which both orphans the old
@@ -64,9 +73,9 @@ const (
 	KindRound     Kind = 2  // wire.Round — a generation's opening request
 	KindBid       Kind = 3  // wire.Bid — one processor's Phase I commitment
 	KindAlloc     Kind = 4  // wire.Alloc — G_i as built in Phase II
-	KindLoadAck   Kind = 5  // wire.Load — Phase III receipt with Λ attestation
+	KindLoadAck   Kind = 5  // wire.Load or wire.StoredLoad — Phase III receipt with Λ attestation
 	KindGrievance Kind = 6  // wire.Grievance — an overload accusation
-	KindBill      Kind = 7  // wire.Bill — a Phase IV bill with proof bundle
+	KindBill      Kind = 7  // wire.Bill or wire.StoredBill — a Phase IV bill with proof bundle
 	KindFine      Kind = 8  // wire.DetectionRec — one arbitration outcome
 	KindSettle    Kind = 9  // wire.RoundResult — the round's durable outcome
 	KindVoid      Kind = 10 // wire.SrvError — the round was abandoned, evidence intact

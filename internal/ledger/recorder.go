@@ -53,19 +53,33 @@ func (sl *SessionLog) ID() uint64 { return sl.id }
 // other's runtime. Record methods are safe for concurrent use and never
 // fail loudly — the first backend error sticks and is returned by Close,
 // which is where the round's durability is decided.
+//
+// Bills and load acks are stored normalized: a section byte-equal to one
+// an artifact recorded earlier in the generation holds is stored as a
+// reference to it (wire.StoredBill, wire.StoredLoad), with the referent's
+// address among the record's parents. Which sections reference what
+// depends on the round's evidence alone, because the protocol records
+// every referent before the artifacts that may reference it (a receipt
+// before its forwarded tail, every other artifact before the bills), so
+// equal rounds store equal bytes.
 type RoundLog struct {
 	sl      *SessionLog
 	mu      sync.Mutex
 	gen     uint64
 	open    Hash
-	up      []Hash // {open}: every artifact's parent set
+	up      []Hash // {open}: a literal artifact's parent set
 	seq     uint64
 	seen    map[Hash]struct{}
 	arts    []Hash
 	err     error
 	enc     []byte        // inner-frame scratch, reused under mu
+	par     []Hash        // a normalized artifact's parent set, reused under mu
 	bidWrap []sign.Signed // RecordBid wrapper, reused under mu
 	journal []byte        // the staged journal frame; nil if none
+	// refs indexes what a bill or load ack may reference; nil stores them
+	// literally: a generation opened in a format before normalization, or
+	// a closed one.
+	refs *refIndex
 }
 
 // OpenRound appends the next generation's opening record, parented on the
@@ -103,14 +117,17 @@ func (sl *SessionLog) OpenRound(rq wire.Round) (*RoundLog, error) {
 			return nil, err
 		}
 		sl.gen = gen
-		return sl.newRoundLog(gen, h, rq.Seq, nil), nil
+		return sl.newRoundLog(gen, h, rq.Seq, false), nil
 	}
 }
 
 // RoundAt returns a recorder anchored at generation gen's existing open
 // record — the crash-recovery path. The recorder starts preloaded with the
 // artifacts already on disk, so a deterministic re-run dedups into them and
-// the eventual settle record commits to the union.
+// the eventual settle record commits to the union. A generation whose
+// round-open sits in a format before normalization (GenView.Literal) goes
+// on storing bills and load acks literally, as it began; any other reads
+// its artifacts back, so that it references what its first run did.
 func (sl *SessionLog) RoundAt(gen uint64) (*RoundLog, error) {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
@@ -118,10 +135,45 @@ func (sl *SessionLog) RoundAt(gen uint64) (*RoundLog, error) {
 	if gv == nil {
 		return nil, fmt.Errorf("ledger: session %d holds no generation %d", sl.id, gen)
 	}
-	return sl.newRoundLog(gen, gv.Open, gv.Round.Seq, gv.Artifacts), nil
+	return sl.roundAt(gv, nil)
 }
 
-func (sl *SessionLog) newRoundLog(gen uint64, open Hash, seq uint64, preload []Hash) *RoundLog {
+// Resume is RoundAt for an open generation Restore handed over: the
+// recorder is preloaded from g's records, not from the log.
+func (sl *SessionLog) Resume(g *Generation) (*RoundLog, error) {
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	if g.Session != sl.id || sl.st.gen(sl.id, g.Gen) == nil {
+		return nil, fmt.Errorf("ledger: session %d holds no generation %d", sl.id, g.Gen)
+	}
+	return sl.roundAt(&g.GenView, g.Records)
+}
+
+// roundAt builds gv's recorder, preloaded from recs (parallel to
+// gv.Artifacts) or, if recs is nil, from the log.
+func (sl *SessionLog) roundAt(gv *GenView, recs []Record) (*RoundLog, error) {
+	rl := sl.newRoundLog(gv.Gen, gv.Open, gv.Round.Seq, gv.Literal)
+	for i, h := range gv.Artifacts {
+		rl.seen[h] = struct{}{}
+		rl.arts = append(rl.arts, h)
+		if rl.refs == nil {
+			continue
+		}
+		var rec Record
+		if recs != nil {
+			rec = recs[i]
+		} else {
+			var err error
+			if rec, err = sl.st.Get(h); err != nil {
+				return nil, err
+			}
+		}
+		rl.refs.preload(h, rec)
+	}
+	return rl, nil
+}
+
+func (sl *SessionLog) newRoundLog(gen uint64, open Hash, seq uint64, literal bool) *RoundLog {
 	rl := &RoundLog{
 		sl:   sl,
 		gen:  gen,
@@ -130,9 +182,8 @@ func (sl *SessionLog) newRoundLog(gen uint64, open Hash, seq uint64, preload []H
 		seq:  seq,
 		seen: make(map[Hash]struct{}),
 	}
-	for _, h := range preload {
-		rl.seen[h] = struct{}{}
-		rl.arts = append(rl.arts, h)
+	if !literal {
+		rl.refs = getRefIndex()
 	}
 	return rl
 }
@@ -147,27 +198,29 @@ func (rl *RoundLog) Err() error {
 	return rl.err
 }
 
-// put appends one artifact under the round-open parent.
-func (rl *RoundLog) put(kind Kind, slot int, payload []byte) {
+// put appends one artifact under parents (the round-open first) and
+// reports its address; ok is false once an append has failed.
+func (rl *RoundLog) put(kind Kind, slot int, parents []Hash, payload []byte) (h Hash, ok bool) {
 	if rl.err != nil {
-		return
+		return h, false
 	}
 	h, _, err := rl.sl.st.Put(Record{
 		Kind:    kind,
 		Session: rl.sl.id,
 		Gen:     rl.gen,
 		Slot:    slot,
-		Parents: rl.up,
+		Parents: parents,
 		Payload: payload,
 	})
 	if err != nil {
 		rl.err = err
-		return
+		return h, false
 	}
 	if _, ok := rl.seen[h]; !ok {
 		rl.seen[h] = struct{}{}
 		rl.arts = append(rl.arts, h)
 	}
+	return h, true
 }
 
 // RecordBid persists P_slot's signed Phase I commitment.
@@ -176,7 +229,9 @@ func (rl *RoundLog) RecordBid(slot int, s sign.Signed) {
 	defer rl.mu.Unlock()
 	rl.bidWrap = append(rl.bidWrap[:0], s)
 	rl.enc = wire.AppendBid(rl.enc[:0], wire.Bid{From: slot, Signed: rl.bidWrap})
-	rl.put(KindBid, slot, rl.enc)
+	if h, ok := rl.put(KindBid, slot, rl.up, rl.enc); ok && rl.refs != nil {
+		rl.refs.addBid(slot, h, s)
+	}
 }
 
 // RecordAlloc persists G as built in Phase II.
@@ -184,15 +239,37 @@ func (rl *RoundLog) RecordAlloc(g wire.Alloc) {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
 	rl.enc = wire.AppendAlloc(rl.enc[:0], g)
-	rl.put(KindAlloc, g.To, rl.enc)
+	if h, ok := rl.put(KindAlloc, g.To, rl.up, rl.enc); ok && rl.refs != nil {
+		rl.refs.addAlloc(h, &g)
+	}
 }
 
-// RecordLoadAck persists P_slot's Phase III receipt.
+// RecordLoadAck persists P_slot's Phase III receipt. A Λ that is the tail
+// of load-ack(slot-1)'s — the honest forward — is stored as a reference
+// to it and the offset of the tail; any other literally.
 func (rl *RoundLog) RecordLoadAck(slot int, l wire.Load) {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
+	ix := rl.refs
+	if ix == nil {
+		rl.enc = wire.AppendLoad(rl.enc[:0], l)
+		rl.put(KindLoadAck, slot, rl.up, rl.enc)
+		return
+	}
+	if prev, off, ok := ix.tailOf(slot-1, l.Att); ok {
+		stored := wire.StoredLoad{Load: l, Ref: wire.LedgerRef{Kind: uint8(KindLoadAck), Field: wire.RefLoadAtt, Slot: slot - 1, Offset: off}}
+		rl.enc = wire.AppendStoredLoad(rl.enc[:0], &stored)
+		rl.par = append(rl.par[:0], rl.open, prev.h)
+		if h, ok := rl.put(KindLoadAck, slot, rl.par, rl.enc); ok {
+			ix.addAck(slot, h, prev.lo+off, prev.hi)
+		}
+		return
+	}
 	rl.enc = wire.AppendLoad(rl.enc[:0], l)
-	rl.put(KindLoadAck, slot, rl.enc)
+	if h, ok := rl.put(KindLoadAck, slot, rl.up, rl.enc); ok && !at(ix.acks, slot).set {
+		lo, hi := ix.copyAtt(l.Att)
+		ix.addAck(slot, h, lo, hi)
+	}
 }
 
 // RecordGrievance persists an overload accusation bundle.
@@ -200,15 +277,28 @@ func (rl *RoundLog) RecordGrievance(gr wire.Grievance) {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
 	rl.enc = wire.AppendGrievance(rl.enc[:0], gr)
-	rl.put(KindGrievance, gr.Reporter, rl.enc)
+	rl.put(KindGrievance, gr.Reporter, rl.up, rl.enc)
 }
 
-// RecordBill persists P_slot's Phase IV bill with its proof bundle.
+// RecordBill persists P_slot's Phase IV bill with its proof bundle. Each
+// proof section byte-equal to the one its referent holds — G_j to
+// alloc(j), the successor bid to bid(j+1), the own bid to
+// alloc(j+1).PrevBid, Λ_j to load-ack(j) — is stored as a reference; a
+// bill with none is stored as it is.
 func (rl *RoundLog) RecordBill(b wire.Bill) {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
+	if rl.refs != nil {
+		stored := wire.StoredBill{Bill: b}
+		rl.par = rl.refs.storeBill(&stored.Bill, &stored.Refs, append(rl.par[:0], rl.open))
+		if len(rl.par) > 1 {
+			rl.enc = wire.AppendStoredBill(rl.enc[:0], &stored)
+			rl.put(KindBill, b.From, rl.par, rl.enc)
+			return
+		}
+	}
 	rl.enc = wire.AppendBill(rl.enc[:0], b)
-	rl.put(KindBill, b.From, rl.enc)
+	rl.put(KindBill, b.From, rl.up, rl.enc)
 }
 
 // RecordJournal stages the round's payment journal — its transfers, in
@@ -261,14 +351,12 @@ func (rl *RoundLog) CloseDeferred(rr wire.RoundResult) error {
 	}
 	for i, d := range rr.Detections {
 		rl.enc = wire.AppendDetection(rl.enc[:0], d)
-		rl.put(KindFine, i, rl.enc)
-		if rl.err != nil {
+		if _, ok := rl.put(KindFine, i, rl.up, rl.enc); !ok {
 			return rl.err
 		}
 	}
 	if rl.journal != nil {
-		rl.put(KindJournal, 0, rl.journal)
-		if rl.err != nil {
+		if _, ok := rl.put(KindJournal, 0, rl.up, rl.journal); !ok {
 			return rl.err
 		}
 	}
@@ -283,7 +371,18 @@ func (rl *RoundLog) CloseDeferred(rr wire.RoundResult) error {
 		rl.err = err
 		return err
 	}
+	rl.releaseRefs()
 	return nil
+}
+
+// releaseRefs returns the reference index to the pool once the generation
+// is closed; the recorder stores anything later literally (and the store
+// refuses it). Callers hold rl.mu.
+func (rl *RoundLog) releaseRefs() {
+	if rl.refs != nil {
+		refIndexes.Put(rl.refs)
+		rl.refs = nil
+	}
 }
 
 // Sync fsyncs the store: the group-commit barrier for deferred closes.
@@ -309,5 +408,6 @@ func (rl *RoundLog) Void(code, msg string) error {
 	if err != nil {
 		return err
 	}
+	rl.releaseRefs()
 	return rl.sl.st.Sync()
 }

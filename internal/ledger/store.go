@@ -86,6 +86,10 @@ type GenView struct {
 	// written before rounds were seeded by generation and journaled (see
 	// FileBackend). Such a round replays only on its session's stream.
 	Legacy bool
+	// Literal: the round-open record sits in storage of a format before
+	// bills and load acks were normalized (the first or the second). Such
+	// a round, resumed, records them literally, as it began.
+	Literal bool
 	// While Restore scans, the records themselves: the artifacts', parallel
 	// to Artifacts, and the first close record.
 	recs     []Record
@@ -148,6 +152,7 @@ type Store struct {
 	load    func(*Store) error // Defer's open, which Restore runs; nil once it ran
 	restore func(*Generation)  // set while Restore scans: takes each generation as it closes
 	scanned int                // records the open's scan visited
+	scanB   int64              // and their encoded bytes
 	peak    int                // most records known at once
 }
 
@@ -205,8 +210,9 @@ func Defer(dir string, segSize int64, met *Metrics) *Store {
 
 // RestoreStats is what Restore's scan saw.
 type RestoreStats struct {
-	Records  int // records the scan read
-	PeakLive int // most records the store knew at once
+	Records  int   // records the scan read
+	Bytes    int64 // their encoded envelopes' bytes, each read and hashed once
+	PeakLive int   // most records the store knew at once
 }
 
 // Restore opens a store from Defer in one pass over its log, handing each
@@ -236,7 +242,7 @@ func (s *Store) Restore(fn func(*Generation)) (RestoreStats, error) {
 	s.load, s.restore = nil, fn
 	err := load(s)
 	s.restore = nil
-	st := RestoreStats{Records: s.scanned, PeakLive: s.peak}
+	st := RestoreStats{Records: s.scanned, Bytes: s.scanB, PeakLive: s.peak}
 	if err != nil {
 		s.be = nil
 		return st, err
@@ -288,6 +294,7 @@ func (s *Store) handOffLocked(sv *SessionView, gv *GenView) *Generation {
 // payload, so Restore may keep it after the scan has reused the frame.
 func (s *Store) ingestFrame(h Hash, frame []byte) error {
 	s.scanned++
+	s.scanB += int64(len(frame))
 	rec, err := decodeRecord(frame)
 	if err != nil {
 		return fmt.Errorf("ledger: record %s: %w", h.Short(), err)
@@ -568,17 +575,32 @@ func (s *Store) ingestLocked(h Hash, rec Record) {
 		}
 	}
 	s.wireLocked(h, rec)
-	if lb, ok := s.be.(legacyBackend); ok && rec.Kind == KindRound && lb.Legacy(h) {
-		if gv := s.genLocked(rec.Session, rec.Gen); gv != nil && gv.Open == h {
-			gv.Legacy = true
+	if fb, ok := s.be.(formatBackend); ok && rec.Kind == KindRound {
+		if f := fb.Format(h); f < FormatNormalized {
+			if gv := s.genLocked(rec.Session, rec.Gen); gv != nil && gv.Open == h {
+				gv.Legacy, gv.Literal = f == FormatLegacy, true
+			}
 		}
 	}
 }
 
-// legacyBackend is a backend that can tell records stored in the first
-// format apart (FileBackend).
-type legacyBackend interface {
-	Legacy(h Hash) bool
+// Storage formats, as a FileBackend segment's magic names them.
+const (
+	// FormatLegacy (DLSLEDG1): rounds on the session's Λ stream, no
+	// journals.
+	FormatLegacy = 1
+	// FormatJournaled (DLSLEDG2): rounds seeded by generation and
+	// journaled; bills and load acks stored literally.
+	FormatJournaled = 2
+	// FormatNormalized (DLSLEDG3): bills and load acks may reference the
+	// artifacts whose bytes they repeat.
+	FormatNormalized = 3
+)
+
+// formatBackend is a backend that knows the format each record is stored
+// in (FileBackend).
+type formatBackend interface {
+	Format(h Hash) int
 }
 
 // wireLocked wires one known, persisted record into the views. The
@@ -670,7 +692,9 @@ func (s *Store) wireLocked(h Hash, rec Record) {
 			gv.Journal = h
 		}
 		if s.restore != nil {
-			rec.Parents = nil // Verify reads an artifact's kind and payload only
+			if len(rec.Parents) == 1 {
+				rec.Parents = nil // the round-open alone; Verify reads a stored frame's referents
+			}
 			gv.recs = append(gv.recs, rec)
 		}
 	}

@@ -435,9 +435,6 @@ func (r *runner) takeBill(b billMsg) {
 	if b.From >= 0 && b.From < r.size && !r.billSeen[b.From] {
 		r.billSeen[b.From] = true
 		r.billSlot[b.From] = b
-		if r.sink != nil {
-			r.sink.RecordBill(b)
-		}
 	}
 }
 
@@ -506,6 +503,14 @@ drain:
 		}
 	}
 	r.billList = bills
+	// Bills are recorded last, in slot order, once every other artifact of
+	// the round is: a recorder may store a proof section as a reference to
+	// the artifact that already holds its bytes.
+	if r.sink != nil {
+		for _, b := range bills {
+			r.sink.RecordBill(b)
+		}
+	}
 	solutionFound := !r.corrupted.Load() && !r.arb.terminated
 	job.verdicts = job.verdicts[:0]
 	if !r.arb.terminated {

@@ -20,10 +20,17 @@ import (
 //     commitment (arbiter.noteBid, deduplicated — one call per processor).
 //   - RecordAlloc: G_{i+1} as built by P_i in Phase II, before transport.
 //   - RecordLoadAck: P_slot's Phase III receipt — the amount received and
-//     the Λ attestation it will certify with.
+//     the Λ attestation it will certify with — recorded on receipt, before
+//     P_slot forwards anything, so load-ack(i) always precedes
+//     load-ack(i+1).
 //   - RecordGrievance: an overload accusation bundle as filed.
 //   - RecordBill: P_slot's Phase IV bill with its proof bundle, first copy
-//     per sender.
+//     per sender, recorded in slot order once bill collection is over,
+//     after every other artifact of the round.
+//
+// That order is what lets a recorder store a load ack or a bill as
+// references to the artifacts recorded before it and still write equal
+// bytes for equal rounds.
 //
 // Implementations must be safe for concurrent use: processors run as
 // goroutines and several may record at once. They must also not retain the

@@ -151,12 +151,13 @@ func (r *runner) runProcessor(i int) {
 		}
 		received, att, corrupted = lm.Amount, lm.Att, lm.Corrupted
 	}
+	r.phase3Receipt(i, received, att)
 	if out, send := r.phase3Route(i, received, att, corrupted); send {
 		if !sendMsg(r, r.resendLoad, i, i+1, fault.PhaseLoad, r.loadDown[i+1], out, corruptLoad) {
 			return
 		}
 	}
-	if !r.phase3Certify(i, att) {
+	if !r.phase3Certify(i) {
 		return
 	}
 	r.phase3Grieve(i)

@@ -215,18 +215,28 @@ func (r *runner) phase3Route(i int, received float64, att device.Attestation, co
 	return out, send
 }
 
-// phase3Certify records the tamper-proof meter reading that certifies the
-// actual execution, and archives the Λ evidence. false means the round was
-// terminated.
-func (r *runner) phase3Certify(i int, att device.Attestation) bool {
-	b := r.behavior(i)
+// phase3Receipt archives the Λ evidence of processor i's Phase III receipt
+// and records the receipt. It runs before i forwards anything, so that
+// load-ack(i) is recorded before load-ack(i+1) can be: a recorder may store
+// Λ_{i+1} as the tail of Λ_i.
+func (r *runner) phase3Receipt(i int, received float64, att device.Attestation) {
 	st := r.procs[i]
-	wTilde := b.Speed(r.params.Net.W[i])
-	st.wTilde = wTilde
 	// Λ_i: all identifiers received, copied into the procState arena (evidence
 	// must be immutable, but the copy's storage is reused across rounds).
 	st.attBuf = append(st.attBuf[:0], att.Blocks...)
 	st.att = device.Attestation{Blocks: st.attBuf}
+	if r.sink != nil {
+		r.sink.RecordLoadAck(i, loadMsg{Amount: received, Att: st.att})
+	}
+}
+
+// phase3Certify records the tamper-proof meter reading that certifies the
+// actual execution. false means the round was terminated.
+func (r *runner) phase3Certify(i int) bool {
+	b := r.behavior(i)
+	st := r.procs[i]
+	wTilde := b.Speed(r.params.Net.W[i])
+	st.wTilde = wTilde
 	reading, err := r.meterRecord(i, wTilde, st.retained)
 	if err != nil {
 		r.arb.terminateErr(phaseErr(ErrRuntime, i, fault.PhaseLoad, "meter: %v", err))
@@ -234,9 +244,6 @@ func (r *runner) phase3Certify(i int, att device.Attestation) bool {
 	}
 	st.meter = reading
 	st.valuation = -st.retained * wTilde
-	if r.sink != nil {
-		r.sink.RecordLoadAck(i, loadMsg{Amount: st.received, Att: st.att})
-	}
 	return true
 }
 

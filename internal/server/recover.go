@@ -107,11 +107,26 @@ func (s *Server) Recover() error {
 			sv.ID, sv.Hello.Tenant, sv.Hello.Size, sv.Opened)
 	}
 	live, _ := st.Live()
-	s.cfg.Logf("dlsd: recovery: %d records, %d sessions; live records peak %d, %d after; scan %v, finish %v; summed over %d workers: verify %v, journal %v (%d rounds), replay %v (%d legacy rounds), tail resume %v",
-		stats.Records, len(sessions), stats.PeakLive, live, scan.Round(time.Millisecond), finish.Round(time.Millisecond),
+	s.cfg.Logf("dlsd: recovery: %d records (%s), %d sessions; live records peak %d, %d after; scan %v, finish %v; summed over %d workers: verify %v, journal %v (%d rounds), replay %v (%d legacy rounds), tail resume %v",
+		stats.Records, decimalBytes(stats.Bytes), len(sessions), stats.PeakLive, live, scan.Round(time.Millisecond), finish.Round(time.Millisecond),
 		len(rc.workers), rc.verify.Round(time.Millisecond), rc.journal.Round(time.Millisecond), rc.journaled,
 		rc.replay.Round(time.Millisecond), rc.replayed, rc.resume.Round(time.Millisecond))
 	return nil
+}
+
+// decimalBytes renders n bytes in decimal units, to three significant
+// figures: "1.13 GB".
+func decimalBytes(n int64) string {
+	units := []string{"B", "kB", "MB", "GB", "TB"}
+	x, u := float64(n), 0
+	for x >= 1000 && u < len(units)-1 {
+		x /= 1000
+		u++
+	}
+	if u == 0 {
+		return fmt.Sprintf("%d B", n)
+	}
+	return fmt.Sprintf("%.3g %s", x, units[u])
 }
 
 // recovery is one Recover's worker pool.
@@ -313,7 +328,7 @@ func (s *Server) resumeGen(r *recovered, g *ledger.Generation, params protocol.P
 		}
 		r.ps.log = sl
 	}
-	rl, err := r.ps.log.RoundAt(g.Gen)
+	rl, err := r.ps.log.Resume(g)
 	if err != nil {
 		return err
 	}

@@ -58,7 +58,7 @@ func Peek(data []byte) (MsgType, error) {
 	case TypeBid, TypeAlloc, TypeLoad, TypeBill, TypeGrievance,
 		TypeHello, TypeHelloAck, TypeRound, TypeRoundResult, TypeSrvError,
 		TypeStream, TypeStreamEnd,
-		TypeLedgerRecord, TypeDetection, TypeJournal:
+		TypeLedgerRecord, TypeDetection, TypeJournal, TypeStoredBill, TypeStoredLoad:
 		return t, nil
 	default:
 		return 0, fmt.Errorf("%w: 0x%02x", ErrBadType, data[4])

@@ -37,6 +37,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 		AppendLedgerRecord(nil, LedgerRecord{Kind: 1}),
 		AppendDetection(nil, sampleDetection()),
 		AppendJournal(nil, sampleJournal()),
+		storedBillFrame(),
+		storedLoadFrame(),
 		[]byte("DLS"),
 		{'D', 'L', 'S', Version, byte(TypeBid), 0xff, 0xff, 0xff, 0xff},
 	}
@@ -47,6 +49,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 	bill := AppendBill(nil, sampleBill())
 	for cut := 0; cut < len(bill); cut += 7 {
 		f.Add(bill[:cut])
+	}
+	stored := storedBillFrame()
+	for cut := 0; cut < len(stored); cut += 7 {
+		f.Add(stored[:cut])
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -121,6 +127,14 @@ func FuzzWireRoundTrip(f *testing.F) {
 			var m []JournalEntry
 			m, n, decErr = DecodeJournal(data)
 			msg, reframe = m, func() []byte { return AppendJournal(nil, m) }
+		case TypeStoredBill:
+			var m StoredBill
+			m, n, decErr = DecodeStoredBill(data)
+			msg, reframe = m, func() []byte { return AppendStoredBill(nil, &m) }
+		case TypeStoredLoad:
+			var m StoredLoad
+			m, n, decErr = DecodeStoredLoad(data)
+			msg, reframe = m, func() []byte { return AppendStoredLoad(nil, &m) }
 		}
 		if decErr != nil {
 			return
@@ -140,6 +154,16 @@ func FuzzWireRoundTrip(f *testing.F) {
 			t.Fatalf("decode(encode(m)) != m for %s frame", typ)
 		}
 	})
+}
+
+func storedBillFrame() []byte {
+	sb := sampleStoredBill()
+	return AppendStoredBill(nil, &sb)
+}
+
+func storedLoadFrame() []byte {
+	sl := sampleStoredLoad()
+	return AppendStoredLoad(nil, &sl)
 }
 
 // retype returns a copy of frame with its header type byte set to t.

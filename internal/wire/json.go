@@ -36,6 +36,8 @@ func ToJSON(msg interface{}) ([]byte, error) {
 }
 
 // FrameToJSON decodes one binary frame and renders it as a debug envelope.
+// A ledger's stored bill or load ack renders once expanded to the frame it
+// stands for (ExpandStored).
 func FrameToJSON(data []byte) ([]byte, error) {
 	t, err := Peek(data)
 	if err != nil {

@@ -8,19 +8,28 @@ import (
 
 // VisitSigned checks, without copying, that data is exactly one framed
 // message of type t — a bid, alloc, load, grievance, bill, detection or
-// journal — in the shape its decoder accepts (every field present, bools
-// canonical, counts within the frame, no trailing bytes), and calls fn with
-// each signature the message embeds, in encoding order; a bill's successor
-// bid only when the proof says it has one. Detections and journals embed
-// none. The Payload and Sig of each Signed alias data and
-// must not be modified or kept. A verifier that holds the bytes anyway
-// (the evidence ledger) checks every signature this way without building
-// the message, its attestations or copies of its signed payloads.
+// journal, or a stored bill or load — in the shape its decoder accepts
+// (every field present, bools canonical, counts within the frame, no
+// trailing bytes), and calls fn with each signature the message embeds, in
+// encoding order; a bill's successor bid only when the proof says it has
+// one. Detections and journals embed none, and a stored frame's referenced
+// sections none: their signatures are the referents'. The Payload and Sig
+// of each Signed alias data and must not be modified or kept. A verifier
+// that holds the bytes anyway (the evidence ledger) checks every signature
+// this way without building the message, its attestations or copies of
+// its signed payloads.
 //
 // fn's name is the field: "signed" for each of a bid's, the alloc field
 // names, and "meter", "proof G: <field>", "proof succ bid", "proof own
 // bid" and "proof meter".
 func VisitSigned(data []byte, t MsgType, fn func(name string, s sign.Signed) error) error {
+	return VisitEvidence(data, t, fn, nil)
+}
+
+// VisitEvidence is VisitSigned that also calls ref, if not nil, with each
+// reference a stored frame holds, numbered from 0 in encoding order (the
+// order of the holding record's referent parents).
+func VisitEvidence(data []byte, t MsgType, fn func(name string, s sign.Signed) error, ref func(k int, r LedgerRef) error) error {
 	body, n, err := frameBody(data, t)
 	if err != nil {
 		return err
@@ -44,6 +53,18 @@ func VisitSigned(data []byte, t MsgType, fn func(name string, s sign.Signed) err
 			}
 		}
 		return nil
+	}
+	refs := 0
+	visitRef := func(want RefField) error {
+		lr := r.ref(want)
+		if r.err != nil {
+			return r.err
+		}
+		refs++
+		if ref == nil {
+			return nil
+		}
+		return ref(refs-1, lr)
 	}
 	switch t {
 	case TypeBid:
@@ -75,27 +96,47 @@ func VisitSigned(data []byte, t MsgType, fn func(name string, s sign.Signed) err
 		if err := visit("meter"); err != nil {
 			return err
 		}
-	case TypeBill:
+	case TypeBill, TypeStoredBill:
 		r.skip(5 * 8) // From and the four amounts
 		hasSucc := r.bool()
-		if err := visitAlloc(&proofAllocNames); err != nil {
+		var mask byte // a bill's sections are all literal
+		if t == TypeStoredBill {
+			mask = r.storedMask()
+		}
+		section := func(k int, literal func() error) error {
+			if mask&(1<<k) != 0 {
+				return visitRef(billFields[k])
+			}
+			return literal()
+		}
+		if err := section(BillG, func() error { return visitAlloc(&proofAllocNames) }); err != nil {
 			return err
 		}
-		if hasSucc {
-			if err := visit("proof succ bid"); err != nil {
-				return err
+		if err := section(BillSuccBid, func() error {
+			if hasSucc {
+				return visit("proof succ bid")
 			}
-		} else {
 			r.signedView()
+			return nil
+		}); err != nil {
+			return err
 		}
-		if err := visit("proof own bid"); err != nil {
+		if err := section(BillOwnBid, func() error { return visit("proof own bid") }); err != nil {
 			return err
 		}
 		r.skip(8 + 8 + 8)
 		if err := visit("proof meter"); err != nil {
 			return err
 		}
-		r.skipAtt()
+		if err := section(BillAtt, func() error { r.skipAtt(); return nil }); err != nil {
+			return err
+		}
+	case TypeStoredLoad:
+		r.u64() // Amount
+		r.bool()
+		if err := visitRef(RefLoadAtt); err != nil {
+			return err
+		}
 	case TypeDetection:
 		r.bytesView() // Violation
 		r.skip(8 + 8 + 8 + 8)

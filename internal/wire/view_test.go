@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"reflect"
 	"testing"
 
 	"dlsmech/internal/sign"
@@ -25,8 +26,39 @@ func signedOf(msg interface{}) []sign.Signed {
 			out = append(out, m.Proof.SuccBid)
 		}
 		return append(out, m.Proof.OwnBid, m.Proof.Meter.Msg)
+	case StoredBill:
+		// The sections stored as references hold no signature here.
+		var out []sign.Signed
+		p := m.Bill.Proof
+		if !m.Refs[BillG].IsSet() {
+			out = alloc(p.G)
+		}
+		if p.HasSucc && !m.Refs[BillSuccBid].IsSet() {
+			out = append(out, p.SuccBid)
+		}
+		if !m.Refs[BillOwnBid].IsSet() {
+			out = append(out, p.OwnBid)
+		}
+		return append(out, p.Meter.Msg)
 	}
 	return nil
+}
+
+// refsOf lists the references a decoded stored frame holds, in encoding
+// order.
+func refsOf(msg interface{}) []LedgerRef {
+	var out []LedgerRef
+	switch m := msg.(type) {
+	case StoredBill:
+		for _, r := range m.Refs {
+			if r.IsSet() {
+				out = append(out, r)
+			}
+		}
+	case StoredLoad:
+		out = append(out, m.Ref)
+	}
+	return out
 }
 
 // TestVisitSignedMatchesDecoders: over every evidence sample, VisitSigned
@@ -39,7 +71,7 @@ func TestVisitSignedMatchesDecoders(t *testing.T) {
 		frame := encodeAny(t, msg)
 		typ, _ := Peek(frame)
 		switch typ {
-		case TypeBid, TypeAlloc, TypeLoad, TypeGrievance, TypeBill, TypeDetection, TypeJournal:
+		case TypeBid, TypeAlloc, TypeLoad, TypeGrievance, TypeBill, TypeDetection, TypeJournal, TypeStoredBill, TypeStoredLoad:
 		default:
 			if err := VisitSigned(frame, typ, func(string, sign.Signed) error { return nil }); err == nil {
 				t.Fatalf("%s: VisitSigned accepted a frame that is not evidence", typ)
@@ -47,11 +79,21 @@ func TestVisitSignedMatchesDecoders(t *testing.T) {
 			continue
 		}
 		var got []sign.Signed
-		if err := VisitSigned(frame, typ, func(_ string, s sign.Signed) error {
+		var refs []LedgerRef
+		if err := VisitEvidence(frame, typ, func(_ string, s sign.Signed) error {
 			got = append(got, s)
+			return nil
+		}, func(k int, r LedgerRef) error {
+			if k != len(refs) {
+				t.Fatalf("%s: reference numbered %d after %d", typ, k, len(refs))
+			}
+			refs = append(refs, r)
 			return nil
 		}); err != nil {
 			t.Fatalf("%s: %v", typ, err)
+		}
+		if want := refsOf(msg); !reflect.DeepEqual(refs, want) {
+			t.Fatalf("%s: visited references %v, the message holds %v", typ, refs, want)
 		}
 		want := signedOf(msg)
 		if len(got) != len(want) {

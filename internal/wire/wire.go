@@ -49,6 +49,8 @@ const (
 	TypeLedgerRecord MsgType = 0x20 // evidence-ledger DAG node envelope
 	TypeDetection    MsgType = 0x21 // one arbitration outcome as a fine artifact
 	TypeJournal      MsgType = 0x22 // a settled round's transfers as a journal artifact
+	TypeStoredBill   MsgType = 0x23 // a bill artifact whose proof references other artifacts
+	TypeStoredLoad   MsgType = 0x24 // a load ack whose Λ references another load ack's
 )
 
 // String names the type for diagnostics.
@@ -84,6 +86,10 @@ func (t MsgType) String() string {
 		return "detection"
 	case TypeJournal:
 		return "journal"
+	case TypeStoredBill:
+		return "stored-bill"
+	case TypeStoredLoad:
+		return "stored-load"
 	default:
 		return "unknown"
 	}

@@ -123,6 +123,10 @@ func encodeAny(t *testing.T, msg interface{}) []byte {
 		return AppendDetection(nil, m)
 	case []JournalEntry:
 		return AppendJournal(nil, m)
+	case StoredBill:
+		return AppendStoredBill(nil, &m)
+	case StoredLoad:
+		return AppendStoredLoad(nil, &m)
 	}
 	t.Fatalf("unsupported %T", msg)
 	return nil
@@ -166,6 +170,10 @@ func decodeAny(t *testing.T, data []byte) (interface{}, int, error) {
 		return firstErr(DecodeDetection(data))
 	case TypeJournal:
 		return firstErr(DecodeJournal(data))
+	case TypeStoredBill:
+		return firstErr(DecodeStoredBill(data))
+	case TypeStoredLoad:
+		return firstErr(DecodeStoredLoad(data))
 	}
 	t.Fatalf("unsupported type %v", typ)
 	return nil, 0, nil
@@ -203,7 +211,31 @@ func allSamples() []interface{} {
 		DetectionRec{},
 		sampleJournal(),
 		[]JournalEntry(nil), // a round that moved no money
+		sampleStoredBill(),
+		StoredBill{Bill: Bill{From: 4}, Refs: BillRefs{BillAtt: sampleAttRef(0)}}, // the last bill: only Λ referenced
+		sampleStoredLoad(),
 	}
+}
+
+// sampleAttRef names load-ack(slot)'s Λ from block 2 on.
+func sampleAttRef(slot int) LedgerRef {
+	return LedgerRef{Kind: refKindLoadAck, Field: RefLoadAtt, Slot: slot, Offset: 2}
+}
+
+// sampleStoredBill is sampleBill with G and the successor bid stored as
+// references and the own bid and Λ literal; the referenced sections are
+// zero, as decoding leaves them.
+func sampleStoredBill() StoredBill {
+	b := sampleBill()
+	b.Proof.G, b.Proof.SuccBid = Alloc{}, sign.Signed{}
+	return StoredBill{Bill: b, Refs: BillRefs{
+		BillG:       {Kind: refKindAlloc, Field: RefAlloc, Slot: 2},
+		BillSuccBid: {Kind: refKindBid, Field: RefBidSigned, Slot: 3},
+	}}
+}
+
+func sampleStoredLoad() StoredLoad {
+	return StoredLoad{Load: Load{Amount: 0.25}, Ref: sampleAttRef(1)}
 }
 
 func sampleJournal() []JournalEntry {
