@@ -86,7 +86,7 @@ func (c Config) AuditFine() float64 { return c.Fine / c.AuditProb }
 // the quantity that makes the recompense balance is the victim's extra load
 // (α̃_{i+1}−α_{i+1}), which is what we use. See DESIGN.md.)
 func (c Config) OverloadPenalty(extraLoad, victimWTilde float64) float64 {
-	return c.Fine + extraLoad*victimWTilde
+	return c.Fine + float64(extraLoad*victimWTilde)
 }
 
 // Report describes what the strategic processors did in one run.
@@ -323,7 +323,7 @@ func cascadeActualInto(alpha, actualHat []float64) error {
 		if math.IsNaN(h) || h < 0 || h > 1 {
 			return fmt.Errorf("%w: hat[%d]=%v", ErrBadHat, i, h)
 		}
-		alpha[i] = d * h
+		alpha[i] = float64(d * h)
 		d -= alpha[i]
 	}
 	return nil
@@ -336,10 +336,10 @@ func realizedMakespan(z, actualAlpha, actualW []float64) float64 {
 	for j := range actualAlpha {
 		if j > 0 {
 			consumed += actualAlpha[j-1]
-			arrive += (1 - consumed) * z[j]
+			arrive += float64((1 - consumed) * z[j])
 		}
 		if actualAlpha[j] > 0 {
-			if f := arrive + actualAlpha[j]*actualW[j]; f > mk {
+			if f := arrive + float64(actualAlpha[j]*actualW[j]); f > mk {
 				mk = f
 			}
 		}

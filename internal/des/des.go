@@ -303,13 +303,13 @@ func Run(spec Spec) (*Result, error) {
 			if i > 0 {
 				hooks.OnMessage(i-1, i, obs.PhaseDES)
 			}
-			retained := e.load * hat[i]
+			retained := float64(e.load * hat[i])
 			forwarded := e.load - retained
 			res.Retained[i] = retained
 			if retained > 0 {
 				record(e.time, EvComputeStart, i, retained)
 				hooks.OnPhaseStart(i, obs.PhaseCompute)
-				done := e.time + retained*w[i]
+				done := e.time + float64(retained*w[i])
 				if crash < done {
 					// Mid-compute crash: the partial result up to the crash
 					// instant is retained, the remainder is lost.
@@ -324,7 +324,7 @@ func Run(spec Spec) (*Result, error) {
 			}
 			if forwarded > 0 && i < size-1 {
 				record(e.time, EvSendStart, i, forwarded)
-				sendDone := e.time + forwarded*n.Z[i+1]
+				sendDone := e.time + float64(forwarded*n.Z[i+1])
 				if crash < sendDone {
 					// The front-end dies mid-transfer; the successor never
 					// receives the (store-and-forward) assignment.

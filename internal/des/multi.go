@@ -159,14 +159,14 @@ func RunMulti(spec MultiSpec) (*MultiResult, error) {
 		if i == size-1 {
 			hat = 1 // the terminal processor computes everything it receives
 		}
-		retained := e.load * hat
+		retained := float64(e.load * hat)
 		forwarded := e.load - retained
 		if retained > 0 {
 			start := math.Max(e.time, cpuFree[i])
-			done := start + retained*n.W[i]
+			done := start + float64(retained*n.W[i])
 			cpuFree[i] = done
 			res.Retained[i] += retained
-			busy[i] += retained * n.W[i]
+			busy[i] += float64(retained * n.W[i])
 			res.ComputeIntervals[i] = append(res.ComputeIntervals[i], Interval{Start: start, End: done})
 			if done > res.Finish[i] {
 				res.Finish[i] = done
@@ -180,7 +180,7 @@ func RunMulti(spec MultiSpec) (*MultiResult, error) {
 		}
 		if forwarded > 1e-15 && i < size-1 {
 			sendStart := math.Max(e.time, outFree[i])
-			arrive := sendStart + spec.StartupZ + forwarded*n.Z[i+1]
+			arrive := sendStart + spec.StartupZ + float64(forwarded*n.Z[i+1])
 			outFree[i] = arrive
 			res.RecvIntervals[i+1] = append(res.RecvIntervals[i+1], Interval{Start: sendStart, End: arrive})
 			push(arrive, i+1, e.round, forwarded)

@@ -22,9 +22,9 @@ func FinishTime(n *Network, alpha []float64, j int) float64 {
 	var arrive, consumed float64
 	for k := 1; k <= j; k++ {
 		consumed += alpha[k-1]
-		arrive += (1 - consumed) * n.Z[k]
+		arrive += float64((1 - consumed) * n.Z[k])
 	}
-	return arrive + alpha[j]*n.W[j]
+	return arrive + float64(alpha[j]*n.W[j])
 }
 
 // FinishTimes returns T_j(α) for every processor. It shares the prefix sums
@@ -36,11 +36,11 @@ func FinishTimes(n *Network, alpha []float64) []float64 {
 	var arrive, consumed float64
 	for j := 1; j <= m; j++ {
 		consumed += alpha[j-1]
-		arrive += (1 - consumed) * n.Z[j]
+		arrive += float64((1 - consumed) * n.Z[j])
 		if alpha[j] == 0 {
 			ts[j] = 0
 		} else {
-			ts[j] = arrive + alpha[j]*n.W[j]
+			ts[j] = arrive + float64(alpha[j]*n.W[j])
 		}
 	}
 	return ts
@@ -89,7 +89,7 @@ func ArrivalTimes(n *Network, alpha []float64) []float64 {
 	var arrive, consumed float64
 	for j := 1; j <= m; j++ {
 		consumed += alpha[j-1]
-		arrive += (1 - consumed) * n.Z[j]
+		arrive += float64((1 - consumed) * n.Z[j])
 		at[j] = arrive
 	}
 	return at

@@ -88,19 +88,30 @@ var DefBuckets = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 50, 100
 // Prometheus convention (snake_case, *_total for counters) and may carry a
 // single fixed label baked in at registration ({phase="bid"} style).
 type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
+	mu           sync.Mutex
+	counters     map[string]*Counter
+	counterFuncs map[string]func() int64
+	gauges       map[string]*Gauge
+	histograms   map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
+		counters:     make(map[string]*Counter),
+		counterFuncs: make(map[string]func() int64),
+		gauges:       make(map[string]*Gauge),
+		histograms:   make(map[string]*Histogram),
 	}
+}
+
+// CounterFunc registers a counter whose value is read from f at each
+// snapshot, for a count another package already keeps (an atomic it owns).
+// It replaces an earlier registration under the same name.
+func (r *Registry) CounterFunc(name string, f func() int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.counterFuncs[name] = f
 }
 
 // Counter returns the counter registered under name, creating it on first
@@ -169,12 +180,15 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := Snapshot{
-		Counters:   make(map[string]int64, len(r.counters)),
+		Counters:   make(map[string]int64, len(r.counters)+len(r.counterFuncs)),
 		Gauges:     make(map[string]float64, len(r.gauges)),
 		Histograms: make(map[string]HistogramSnapshot, len(r.histograms)),
 	}
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
+	}
+	for name, f := range r.counterFuncs {
+		s.Counters[name] = f()
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Value()

@@ -103,6 +103,9 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(`dls_messages_total`).Add(7)
+	var started int64 = 3
+	r.CounterFunc("dls_started_total", func() int64 { return started })
+	started = 5 // read at scrape, not at registration
 	r.Counter(`dls_phase_starts_total{phase="bid"}`).Add(4)
 	r.Counter(`dls_phase_starts_total{phase="load"}`).Add(4)
 	r.Gauge("dls_temp").Set(0.5)
@@ -116,6 +119,8 @@ func TestWritePrometheus(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE dls_messages_total counter\n",
 		"dls_messages_total 7\n",
+		"# TYPE dls_started_total counter\n",
+		"dls_started_total 5\n",
 		"# TYPE dls_phase_starts_total counter\n",
 		`dls_phase_starts_total{phase="bid"} 4` + "\n",
 		"# TYPE dls_temp gauge\n",

@@ -297,7 +297,8 @@ func (a *arbiter) reportOverload(reporter int, g gMsg, att device.Attestation, m
 	// honestly forwarded attestation can over-prove by up to one block per
 	// upstream hop. The substantiation threshold budgets that slack; a real
 	// shed moves load orders of magnitude above it.
-	slack := float64(reporter+1) * a.r.unit
+	hops := float64(reporter + 1)
+	slack := float64(hops * a.r.unit)
 	if valid && provedReceived > vals.Load+slack {
 		extra := provedReceived - vals.Load
 		a.fineAndRewardLocked(ViolationOverload, accused, reporter, extra*meter.WTilde)
@@ -399,7 +400,7 @@ func (a *arbiter) recomputeBill(b billMsg, solutionFound bool) (billMsg, error) 
 		}
 		hat, wbar = dlt.EquivTwo(bid, r.params.Net.Z[j+1], succ)
 	}
-	planAlpha := vals.Load * hat
+	planAlpha := float64(vals.Load * hat)
 
 	var want billMsg
 	want.From = j

@@ -138,10 +138,10 @@ func arithmeticConsistent(v gValues, zi float64, tol float64) error {
 		return fmt.Errorf("protocol: implausible local fraction α̂=%v", hat)
 	}
 	scale := 1 + v.PrevEquiv + v.EchoEquiv + zi
-	if d := math.Abs(v.PrevEquiv - (1-hat)*(v.EchoEquiv+zi)); d > tol*scale {
+	if d := math.Abs(v.PrevEquiv - float64((1-hat)*(v.EchoEquiv+zi))); d > tol*scale {
 		return fmt.Errorf("protocol: equal-finish identity off by %v", d)
 	}
-	if d := math.Abs(v.Load - (1-hat)*v.PrevLoad); d > tol*v.PrevLoad+loadTolFloor {
+	if d := math.Abs(v.Load - float64((1-hat)*v.PrevLoad)); d > float64(tol*v.PrevLoad)+loadTolFloor {
 		return fmt.Errorf("protocol: D recurrence off by %v", d)
 	}
 	return nil

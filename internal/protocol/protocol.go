@@ -207,13 +207,10 @@ func (p *Params) validate() (unit float64, err error) {
 // and call its Run — the steady state is more than an order of magnitude
 // faster (see README, Performance).
 func Run(p Params) (*Result, error) {
-	unit, err := p.validate()
-	if err != nil {
+	if _, err := p.validate(); err != nil {
 		return nil, err
 	}
-	s := NewSession(p.Net.Size(), p.Seed)
-	_ = unit
-	return s.Run(p)
+	return NewSession(p.Net.Size(), p.Seed).Run(p)
 }
 
 // Session holds the round-invariant state of a processor population: key
@@ -261,6 +258,7 @@ func NewSession(size int, seed uint64) *Session {
 	for i := range r.procs {
 		r.procs[i] = &procState{}
 	}
+	r.workers = make([]chan procJob, size)
 	r.p3seen = make([]bool, size)
 	r.resendBid = make(map[resendKey]*resendEntry[bidMsg])
 	r.resendG = make(map[resendKey]*resendEntry[gMsg])
@@ -325,23 +323,11 @@ func (s *Session) beginRound(p Params, job *settleJob) error {
 	}
 
 	r.hooks.OnPhaseStart(obs.Root, obs.PhaseRound)
-	var wg sync.WaitGroup
-	wg.Add(s.size)
-	for i := 0; i < s.size; i++ {
-		go r.procMain(i, &wg)
-	}
-	wg.Wait()
+	r.runProcessors()
 	r.auxwg.Wait() // in-flight delayed deliveries
 
 	r.finishExchange(job)
 	return nil
-}
-
-// procMain is the goroutine body; a plain method keeps the per-round launch
-// free of per-processor closure allocations.
-func (r *runner) procMain(i int, wg *sync.WaitGroup) {
-	defer wg.Done()
-	r.runProcessor(i)
 }
 
 // resetRound reinitializes the runner for one round, reusing every pooled
@@ -520,6 +506,11 @@ type runner struct {
 
 	procs []*procState
 	abort chan struct{}
+
+	// workers holds the job channels of the pooled goroutines running the
+	// current round's processors (runProcessors); procWG counts them down.
+	workers []chan procJob
+	procWG  sync.WaitGroup
 
 	// Bill-collection arenas (finishExchange): first-bill-per-sender slots
 	// and the ordered settlement list, reused across rounds.

@@ -124,7 +124,7 @@ func (r *runner) phase2Plan(i int) {
 	if i == 0 {
 		st.planD = 1
 	}
-	st.planAlpha = st.planD * st.hatPlanned
+	st.planAlpha = float64(st.planD * st.hatPlanned)
 	st.planDNext = st.planD - st.planAlpha
 }
 

@@ -1,6 +1,9 @@
 package server
 
-import "dlsmech/internal/obs"
+import (
+	"dlsmech/internal/obs"
+	"dlsmech/internal/protocol"
+)
 
 // Metric names the daemon exports. The smoke job greps the scrape for the
 // wire_decode_error and session_leak substrings, so those two names are
@@ -37,6 +40,11 @@ const (
 	MetricStreamLoads        = "dlsd_stream_loads_total"
 	MetricPipelineOccupancy  = "dlsd_pipeline_occupancy"
 	MetricInterSettleSeconds = "dlsd_inter_settle_seconds"
+	// MetricWorkersStarted counts the processor goroutines the process has
+	// started (protocol.WorkersStarted). Rounds run on parked workers, so
+	// it stays flat under steady load and rises only when more rounds run
+	// at once than before, or after idle workers were collected.
+	MetricWorkersStarted = "dlsd_processor_workers_started_total"
 )
 
 // RoundSecondsBuckets buckets round latencies from 100µs to 10s: a warm
@@ -76,6 +84,7 @@ type metrics struct {
 }
 
 func newMetrics(r *obs.Registry) *metrics {
+	r.CounterFunc(MetricWorkersStarted, protocol.WorkersStarted)
 	return &metrics{
 		connsAccepted:       r.Counter(MetricConnsAccepted),
 		connsRejected:       r.Counter(MetricConnsRejected),

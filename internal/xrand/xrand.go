@@ -120,7 +120,9 @@ func (r *Rand) boundedUint64(bound uint64) uint64 {
 
 // Float64 returns a uniform float64 in [0, 1) with 53 random bits.
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	// The division compiles to a multiply; the outer conversion keeps it
+	// out of a caller's fused multiply-add (see portable.go).
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Uniform returns a uniform float64 in [lo, hi). It panics if hi < lo.
@@ -128,7 +130,7 @@ func (r *Rand) Uniform(lo, hi float64) float64 {
 	if hi < lo {
 		panic("xrand: Uniform with hi < lo")
 	}
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // Bool returns true with probability p (clamped to [0,1]).
@@ -145,11 +147,11 @@ func (r *Rand) Bool(p float64) bool {
 // Norm returns a standard normal variate (Marsaglia polar method).
 func (r *Rand) Norm() float64 {
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		u := float64(2*r.Float64()) - 1
+		v := float64(2*r.Float64()) - 1
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
+			return u * math.Sqrt(-2*log(s)/s)
 		}
 	}
 }
@@ -158,7 +160,7 @@ func (r *Rand) Norm() float64 {
 // heterogeneity with heavy-tailed positive rates; log-normal is the standard
 // choice.
 func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.Norm())
+	return exp(mu + float64(sigma*r.Norm()))
 }
 
 // Exp returns an exponential variate with the given rate (mean 1/rate).
@@ -167,7 +169,7 @@ func (r *Rand) Exp(rate float64) float64 {
 		panic("xrand: Exp with non-positive rate")
 	}
 	// 1-Float64() is in (0,1], so Log never sees zero.
-	return -math.Log(1-r.Float64()) / rate
+	return -log(1-r.Float64()) / rate
 }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
